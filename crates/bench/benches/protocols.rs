@@ -39,19 +39,6 @@ fn bench_full_runs(c: &mut Criterion) {
     group.bench_function("arbitrary", |b| {
         b.iter(|| run_arbitrary_pair(&w.cfg, &arbitrary, rng(8), rng(9)).unwrap());
     });
-    // Round-batched variants: identical outputs, O(1) wire rounds per
-    // neighborhood query (in-process the win is fewer frames + syscalls;
-    // on a real link it is the latency collapse E10 models).
-    let batched_cfg = w.cfg.with_batching(true);
-    group.bench_function("horizontal_batched", |b| {
-        b.iter(|| run_horizontal_pair(&batched_cfg, &w.alice, &w.bob, rng(1), rng(2)).unwrap());
-    });
-    group.bench_function("vertical_batched", |b| {
-        b.iter(|| run_vertical_pair(&batched_cfg, &vertical, rng(5), rng(6)).unwrap());
-    });
-    group.bench_function("arbitrary_batched", |b| {
-        b.iter(|| run_arbitrary_pair(&batched_cfg, &arbitrary, rng(8), rng(9)).unwrap());
-    });
     group.finish();
 }
 
@@ -140,14 +127,8 @@ fn bench_backend_vertical_e2e(c: &mut Criterion) {
     let mut group = c.benchmark_group("vertical_e2e_backends_n12");
     group.sample_size(10);
     for (label, cfg) in [
-        (
-            "paillier_packed",
-            w.cfg.with_batching(true).with_packing(true),
-        ),
-        (
-            "sharing",
-            w.cfg.with_batching(true).with_backend(BackendKind::Sharing),
-        ),
+        ("paillier_packed", w.cfg.with_packing(true)),
+        ("sharing", w.cfg.with_backend(BackendKind::Sharing)),
     ] {
         let (out, _) = run_vertical_pair(&cfg, &vertical, rng(5), rng(6)).unwrap();
         println!(
@@ -211,7 +192,7 @@ fn bench_pruned_vertical_e2e(c: &mut Criterion) {
     let mut w = blob_workload(100, 2, 600);
     w.cfg.key_bits = 128;
     let vertical = VerticalPartition::split(&w.all, 1);
-    let base = w.cfg.with_batching(true).with_backend(BackendKind::Sharing);
+    let base = w.cfg.with_backend(BackendKind::Sharing);
     let mut group = c.benchmark_group("vertical_pruning_n100");
     group.sample_size(10);
     for (label, cfg) in [

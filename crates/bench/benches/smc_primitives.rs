@@ -1,16 +1,20 @@
-//! SMC primitive costs: the Multiplication Protocol (single and dot
+//! SMC primitive costs: the Multiplication Protocol (one product and dot
 //! product), Yao's millionaires by domain size, the Ideal comparator, and
 //! k-th-smallest selection — each including its real two-thread channel
-//! round trips.
+//! round trips. A single operation is the one-item batch of its primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::Keypair;
-use ppds_smc::compare::{compare_alice, compare_bob, CmpOp, Comparator, ComparisonDomain};
-use ppds_smc::kth::{kth_smallest_alice, kth_smallest_bob, SelectionMethod};
-use ppds_smc::multiplication::{dot_keyholder, dot_peer, mul_keyholder, mul_peer};
-use ppds_smc::ProtocolContext;
-use ppds_transport::duplex;
+use ppds_smc::compare::{
+    compare_batch_alice, compare_batch_bob, CmpOp, Comparator, ComparisonDomain,
+};
+use ppds_smc::kth::{kth_smallest_with, SelectionMethod};
+use ppds_smc::multiplication::{
+    dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
+};
+use ppds_smc::{PaillierBackend, Party, ProtocolContext, SharingLedger};
+use ppds_transport::{duplex, MemoryChannel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
@@ -24,47 +28,77 @@ fn keypair() -> &'static Keypair {
     KP.get_or_init(|| Keypair::generate(256, &mut rng(0)))
 }
 
+/// One multiplication exchange over `groups` (one frame each way), with
+/// zero-sum masks per group.
+fn mul_exchange(xs_groups: Vec<Vec<BigInt>>, ys_groups: &[Vec<BigInt>], seed: u64) {
+    let (mut kchan, mut pchan) = duplex();
+    let handle = std::thread::spawn(move || {
+        let kctx = ProtocolContext::new(seed);
+        mul_batches_keyholder(
+            &mut kchan,
+            keypair(),
+            &xs_groups,
+            |g| kctx.at(g as u64),
+            None,
+        )
+        .unwrap()
+    });
+    let pctx = ProtocolContext::new(seed + 1);
+    mul_batches_peer(
+        &mut pchan,
+        &keypair().public,
+        ys_groups,
+        |g| {
+            zero_sum_masks(
+                pctx.narrow("mask").rng_for(g as u64),
+                ys_groups[g].len(),
+                &BigUint::from_u64(1 << 20),
+            )
+        },
+        |g| pctx.at(g as u64),
+        None,
+    )
+    .unwrap();
+    handle.join().unwrap();
+}
+
 fn bench_multiplication(c: &mut Criterion) {
     let mut group = c.benchmark_group("mul_protocol_256");
     group.sample_size(20);
     group.bench_function("single", |b| {
         b.iter(|| {
-            let (mut kchan, mut pchan) = duplex();
-            let handle = std::thread::spawn(move || {
-                mul_keyholder(
-                    &mut kchan,
-                    keypair(),
-                    &BigInt::from_i64(37),
-                    &ProtocolContext::new(1),
-                )
-                .unwrap()
-            });
-            mul_peer(
-                &mut pchan,
-                &keypair().public,
-                &BigInt::from_i64(53),
-                &BigUint::from_u64(1 << 30),
-                &ProtocolContext::new(2),
+            mul_exchange(
+                vec![vec![BigInt::from_i64(37)]],
+                &[vec![BigInt::from_i64(53)]],
+                1,
             )
-            .unwrap();
-            handle.join().unwrap()
         });
     });
     for m in [2usize, 8] {
         group.bench_with_input(BenchmarkId::new("dot_product", m), &m, |b, &m| {
             let xs: Vec<BigInt> = (0..m as i64).map(BigInt::from_i64).collect();
-            let ys: Vec<BigInt> = (0..m as i64).map(|v| BigInt::from_i64(v * 3)).collect();
+            let ys: Vec<Vec<BigInt>> =
+                vec![(0..m as i64).map(|v| BigInt::from_i64(v * 3)).collect()];
             b.iter(|| {
                 let (mut kchan, mut pchan) = duplex();
                 let xs2 = xs.clone();
                 let handle = std::thread::spawn(move || {
-                    dot_keyholder(&mut kchan, keypair(), &xs2, &ProtocolContext::new(3)).unwrap()
+                    dot_many_keyholder(
+                        &mut kchan,
+                        keypair(),
+                        &xs2,
+                        1,
+                        None,
+                        &ProtocolContext::new(3),
+                    )
+                    .unwrap()
                 });
-                dot_peer(
+                dot_many_peer(
                     &mut pchan,
                     &keypair().public,
                     &ys,
                     &BigUint::from_u64(1 << 30),
+                    None,
                     &ProtocolContext::new(4),
                 )
                 .unwrap();
@@ -75,40 +109,43 @@ fn bench_multiplication(c: &mut Criterion) {
     group.finish();
 }
 
+/// One comparison (the one-item batch) between Alice's `a` and Bob's `b`.
+fn compare_once(comparator: Comparator, a: i64, b: i64, op: CmpOp, domain: ComparisonDomain) {
+    let (mut achan, mut bchan) = duplex();
+    let handle = std::thread::spawn(move || {
+        compare_batch_alice(
+            comparator,
+            &mut achan,
+            keypair(),
+            &[a],
+            op,
+            &domain,
+            false,
+            &ProtocolContext::new(5),
+        )
+        .unwrap()
+    });
+    compare_batch_bob(
+        comparator,
+        &mut bchan,
+        &keypair().public,
+        &[b],
+        op,
+        &domain,
+        false,
+        &ProtocolContext::new(6),
+    )
+    .unwrap();
+    handle.join().unwrap();
+}
+
 fn bench_yao(c: &mut Criterion) {
     let mut group = c.benchmark_group("yao_millionaires_256");
     group.sample_size(10);
     for n0 in [16i64, 64, 256] {
         let domain = ComparisonDomain::new(1, n0 - 1);
         group.bench_with_input(BenchmarkId::from_parameter(n0), &n0, |b, _| {
-            b.iter(|| {
-                let (mut achan, mut bchan) = duplex();
-                let handle = std::thread::spawn(move || {
-                    compare_alice(
-                        Comparator::Yao,
-                        &mut achan,
-                        keypair(),
-                        2,
-                        CmpOp::Lt,
-                        &domain,
-                        false,
-                        &ProtocolContext::new(5),
-                    )
-                    .unwrap()
-                });
-                compare_bob(
-                    Comparator::Yao,
-                    &mut bchan,
-                    &keypair().public,
-                    5,
-                    CmpOp::Lt,
-                    &domain,
-                    false,
-                    &ProtocolContext::new(6),
-                )
-                .unwrap();
-                handle.join().unwrap()
-            });
+            b.iter(|| compare_once(Comparator::Yao, 2, 5, CmpOp::Lt, domain));
         });
     }
     group.finish();
@@ -117,34 +154,7 @@ fn bench_yao(c: &mut Criterion) {
 fn bench_ideal_compare(c: &mut Criterion) {
     let domain = ComparisonDomain::symmetric(1 << 30);
     c.bench_function("ideal_compare", |b| {
-        b.iter(|| {
-            let (mut achan, mut bchan) = duplex();
-            let handle = std::thread::spawn(move || {
-                compare_alice(
-                    Comparator::Ideal,
-                    &mut achan,
-                    keypair(),
-                    123,
-                    CmpOp::Leq,
-                    &domain,
-                    false,
-                    &ProtocolContext::new(7),
-                )
-                .unwrap()
-            });
-            compare_bob(
-                Comparator::Ideal,
-                &mut bchan,
-                &keypair().public,
-                456,
-                CmpOp::Leq,
-                &domain,
-                false,
-                &ProtocolContext::new(8),
-            )
-            .unwrap();
-            handle.join().unwrap()
-        });
+        b.iter(|| compare_once(Comparator::Ideal, 123, 456, CmpOp::Leq, domain));
     });
 }
 
@@ -157,106 +167,68 @@ fn bench_kth_selection(c: &mut Criterion) {
     let vs: Vec<i64> = (0..n).map(|_| r.random_range(-500..500)).collect();
     let us: Vec<i64> = dists.iter().zip(&vs).map(|(d, v)| d + v).collect();
     let domain = ComparisonDomain::symmetric(4000);
+    let backend = PaillierBackend {
+        my_keypair: keypair(),
+        peer_pk: &keypair().public,
+        comparator: Comparator::Ideal,
+        packed: false,
+        mul_packing: None,
+        dot_packing: None,
+        mul_mask_bound: BigUint::zero(),
+        dot_mask_bound: BigUint::zero(),
+    };
     for (label, method, k) in [
         ("repmin_k1", SelectionMethod::RepeatedMin, 1usize),
         ("repmin_k16", SelectionMethod::RepeatedMin, 16),
         ("quickselect_k16", SelectionMethod::QuickSelect, 16),
     ] {
+        let select = |chan: &mut MemoryChannel, role, shares: &[i64], seed| {
+            kth_smallest_with(
+                method,
+                &backend,
+                chan,
+                role,
+                shares,
+                k,
+                &domain,
+                &ProtocolContext::new(seed),
+                &mut SharingLedger::default(),
+            )
+            .unwrap()
+        };
         group.bench_function(label, |b| {
             b.iter(|| {
                 let (mut achan, mut bchan) = duplex();
-                let us2 = us.clone();
-                let handle = std::thread::spawn(move || {
-                    kth_smallest_alice(
-                        method,
-                        Comparator::Ideal,
-                        &mut achan,
-                        keypair(),
-                        &us2,
-                        k,
-                        &domain,
-                        false,
-                        &ProtocolContext::new(10),
-                    )
-                    .unwrap()
-                });
-                kth_smallest_bob(
-                    method,
-                    Comparator::Ideal,
-                    &mut bchan,
-                    &keypair().public,
-                    &vs,
-                    k,
-                    &domain,
-                    false,
-                    &ProtocolContext::new(11),
-                )
-                .unwrap();
-                handle.join().unwrap()
+                std::thread::scope(|s| {
+                    let alice = s.spawn(|| select(&mut achan, Party::Alice, &us, 10));
+                    select(&mut bchan, Party::Bob, &vs, 11);
+                    alice.join().unwrap()
+                })
             });
         });
     }
     group.finish();
 }
 
-/// Ablation (DESIGN.md): protocol HDP fuses its `m` Algorithm 2 runs into
-/// one message round trip. Same ciphertext count either way; the batched
-/// form saves `m - 1` round trips of framing and thread wakeups.
+/// Ablation (DESIGN.md §7): protocol HDP fuses its `m` Algorithm 2 runs into
+/// one message round trip. Same ciphertext count either way; one batch
+/// saves `m - 1` round trips of framing and thread wakeups over `m`
+/// one-item exchanges.
 fn bench_batching_ablation(c: &mut Criterion) {
-    use ppds_smc::multiplication::{mul_batch_keyholder, mul_batch_peer, zero_sum_masks};
     let m = 4usize;
     let xs: Vec<BigInt> = (0..m as i64).map(BigInt::from_i64).collect();
     let ys: Vec<BigInt> = (0..m as i64).map(|v| BigInt::from_i64(v + 1)).collect();
     let mut group = c.benchmark_group("mul_batching_m4");
     group.sample_size(10);
     group.bench_function("four_singles", |b| {
-        let xs = xs.clone();
-        let ys = ys.clone();
         b.iter(|| {
-            let (mut kchan, mut pchan) = duplex();
-            let xs2 = xs.clone();
-            let handle = std::thread::spawn(move || {
-                let kctx = ProtocolContext::new(20);
-                xs2.iter()
-                    .enumerate()
-                    .map(|(i, x)| {
-                        mul_keyholder(&mut kchan, keypair(), x, &kctx.at(i as u64)).unwrap()
-                    })
-                    .collect::<Vec<_>>()
-            });
-            let pctx = ProtocolContext::new(21);
-            for (i, y) in ys.iter().enumerate() {
-                mul_peer(
-                    &mut pchan,
-                    &keypair().public,
-                    y,
-                    &BigUint::from_u64(1 << 20),
-                    &pctx.at(i as u64),
-                )
-                .unwrap();
+            for (i, (x, y)) in xs.iter().zip(&ys).enumerate() {
+                mul_exchange(vec![vec![x.clone()]], &[vec![y.clone()]], 20 + 2 * i as u64);
             }
-            handle.join().unwrap()
         });
     });
     group.bench_function("one_batch", |b| {
-        let xs = xs.clone();
-        let ys = ys.clone();
-        b.iter(|| {
-            let (mut kchan, mut pchan) = duplex();
-            let xs2 = xs.clone();
-            let handle = std::thread::spawn(move || {
-                mul_batch_keyholder(&mut kchan, keypair(), &xs2, None, &ProtocolContext::new(22))
-                    .unwrap()
-            });
-            let pctx = ProtocolContext::new(23);
-            let masks = zero_sum_masks(
-                pctx.narrow("mask").rng(),
-                ys.len(),
-                &BigUint::from_u64(1 << 20),
-            );
-            mul_batch_peer(&mut pchan, &keypair().public, &ys, &masks, None, &pctx).unwrap();
-            handle.join().unwrap()
-        });
+        b.iter(|| mul_exchange(vec![xs.clone()], std::slice::from_ref(&ys), 22));
     });
     group.finish();
 }
@@ -344,45 +316,36 @@ fn bench_parallel_batch_encryption(c: &mut Criterion) {
 /// decrypts all 10; packed, the verdict vector rides one word and Alice
 /// decrypts once — the reply-leg cost drops by the layout capacity.
 fn bench_dgk_reply_packing(c: &mut Criterion) {
-    use ppds_smc::bitwise::{dgk_alice, dgk_bob, dgk_packed_alice, dgk_packed_bob};
+    use ppds_smc::bitwise::{
+        dgk_batch_alice, dgk_batch_bob, dgk_batch_packed_alice, dgk_batch_packed_bob,
+    };
     let bound = 1023u64; // ℓ = 10
     let mut group = c.benchmark_group("dgk_compare_256bit_l10");
     group.sample_size(10);
-    group.bench_function("unpacked", |b| {
-        b.iter(|| {
-            let (mut achan, mut bchan) = duplex();
-            let handle = std::thread::spawn(move || {
-                dgk_alice(&mut achan, keypair(), 400, bound, &ProtocolContext::new(1)).unwrap()
-            });
-            dgk_bob(
-                &mut bchan,
-                &keypair().public,
-                700,
-                bound,
-                &ProtocolContext::new(2),
-            )
-            .unwrap();
-            handle.join().unwrap()
-        });
-    });
-    group.bench_function("packed", |b| {
-        b.iter(|| {
-            let (mut achan, mut bchan) = duplex();
-            let handle = std::thread::spawn(move || {
-                dgk_packed_alice(&mut achan, keypair(), 400, bound, &ProtocolContext::new(1))
+    for (label, packed) in [("unpacked", false), ("packed", true)] {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let (mut achan, mut bchan) = duplex();
+                let handle = std::thread::spawn(move || {
+                    let ctx = ProtocolContext::new(1);
+                    if packed {
+                        dgk_batch_packed_alice(&mut achan, keypair(), &[400], bound, &ctx)
+                    } else {
+                        dgk_batch_alice(&mut achan, keypair(), &[400], bound, &ctx)
+                    }
                     .unwrap()
+                });
+                let (pk, ctx) = (&keypair().public, ProtocolContext::new(2));
+                if packed {
+                    dgk_batch_packed_bob(&mut bchan, pk, &[700], bound, &ctx)
+                } else {
+                    dgk_batch_bob(&mut bchan, pk, &[700], bound, &ctx)
+                }
+                .unwrap();
+                handle.join().unwrap()
             });
-            dgk_packed_bob(
-                &mut bchan,
-                &keypair().public,
-                700,
-                bound,
-                &ProtocolContext::new(2),
-            )
-            .unwrap();
-            handle.join().unwrap()
         });
-    });
+    }
     group.finish();
 }
 

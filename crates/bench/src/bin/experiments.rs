@@ -10,7 +10,7 @@
 //!
 //! `--json <path>` runs the round-batching (E10), slot-packing (E11) and
 //! sharing-backend (E12) protocol sweeps and writes per-protocol
-//! `{backend, batching, packing, rounds, messages, bytes, modeled_lan_ms,
+//! `{backend, packing, rounds, messages, bytes, modeled_lan_ms,
 //! modeled_wan_ms}` records — the bench trajectory future PRs diff against
 //! (the repo keeps one run as `BENCH_protocols.json`).
 //!
@@ -18,8 +18,8 @@
 //! to one SMC substrate; by default both are swept so the trajectory carries
 //! per-backend rows. E11 (slot packing) and E12 (the cross-backend
 //! comparison) are Paillier-anchored and are skipped under
-//! `--backend sharing`, which instead prints the batching sweep on the
-//! sharing substrate.
+//! `--backend sharing`, which instead prints the E10 rows on the sharing
+//! substrate.
 
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{run_participants, Participant, PartyData};
@@ -33,11 +33,13 @@ use ppds_dbscan::datagen::{cluster_in_ring, split_alternating, two_moons};
 use ppds_dbscan::{dbscan, dbscan_with_external_density, eval, DbscanParams, Point, Quantizer};
 use ppds_observe::{chrome_trace, SessionTrace, SpanRecorder};
 use ppds_paillier::Keypair;
-use ppds_smc::compare::{compare_alice, compare_bob, CmpOp, Comparator, ComparisonDomain};
-use ppds_smc::kth::{kth_smallest_alice, kth_smallest_bob, SelectionMethod};
+use ppds_smc::compare::{
+    compare_batch_alice, compare_batch_bob, CmpOp, Comparator, ComparisonDomain,
+};
+use ppds_smc::kth::{kth_smallest_with, SelectionMethod};
 use ppds_smc::millionaires;
-use ppds_smc::multiplication::{mul_keyholder, mul_peer};
-use ppds_smc::{BackendKind, Party, ProtocolContext};
+use ppds_smc::multiplication::{mul_batches_keyholder, mul_batches_peer};
+use ppds_smc::{BackendKind, PaillierBackend, Party, ProtocolContext, SharingLedger};
 use ppds_transport::{duplex, Channel, CostModel};
 use std::sync::Arc;
 use std::time::Instant;
@@ -367,12 +369,14 @@ fn e6() {
         let kp = keypair.clone();
         let handle = std::thread::spawn(move || {
             let kctx = ProtocolContext::new(41);
+            // One product per call: the one-group, one-element batch.
             for i in 0..reps {
-                let _ = mul_keyholder(
+                let _ = mul_batches_keyholder(
                     &mut kchan,
                     &kp,
-                    &BigInt::from_i64(37 + i),
-                    &kctx.at(i as u64),
+                    &[vec![BigInt::from_i64(37 + i)]],
+                    |_| kctx.at(i as u64),
+                    None,
                 )
                 .unwrap();
             }
@@ -380,13 +384,20 @@ fn e6() {
         });
         let pctx = ProtocolContext::new(42);
         let t0 = Instant::now();
+        let mask_bound = BigUint::from_u64(1 << 30);
         for i in 0..reps {
-            mul_peer(
+            mul_batches_peer(
                 &mut pchan,
                 &keypair.public,
-                &BigInt::from_i64(53 + i),
-                &BigUint::from_u64(1 << 30),
-                &pctx.at(i as u64),
+                &[vec![BigInt::from_i64(53 + i)]],
+                |_| {
+                    vec![ppds_smc::multiplication::sample_mask(
+                        pctx.narrow("mask").rng_for(i as u64),
+                        &mask_bound,
+                    )]
+                },
+                |_| pctx.at(i as u64),
+                None,
             )
             .unwrap();
         }
@@ -402,7 +413,8 @@ fn e6() {
             ],
         );
     }
-    println!("\nBytes/call = 2 ciphertexts ≈ 4·(key bits)/8: the O(c1) claim, with");
+    println!("\nBytes/call = 2 ciphertexts ≈ 4·(key bits)/8 (plus two 4-byte batch counts):");
+    println!("the O(c1) claim, with");
     println!("c1 the ciphertext width. Time is dominated by the Paillier decryption.");
 }
 
@@ -421,11 +433,11 @@ fn e7() {
         let (mut achan, mut bchan) = duplex();
         let kp = keypair.clone();
         let handle = std::thread::spawn(move || {
-            compare_alice(
+            compare_batch_alice(
                 Comparator::Yao,
                 &mut achan,
                 &kp,
-                2,
+                &[2],
                 CmpOp::Lt,
                 &domain,
                 false,
@@ -435,11 +447,11 @@ fn e7() {
             achan.metrics()
         });
         let t0 = Instant::now();
-        compare_bob(
+        compare_batch_bob(
             Comparator::Yao,
             &mut bchan,
             &keypair.public,
-            5.min(n0 as i64 - 2),
+            &[5.min(n0 as i64 - 2)],
             CmpOp::Lt,
             &domain,
             false,
@@ -482,34 +494,37 @@ fn e8() {
                 let us: Vec<i64> = dists.iter().zip(&vs).map(|(d, v)| d + v).collect();
                 let domain = ComparisonDomain::symmetric(4000);
                 let (mut achan, mut bchan) = duplex();
-                let kp = keypair.clone();
-                let handle = std::thread::spawn(move || {
-                    kth_smallest_alice(
-                        method,
-                        Comparator::Ideal,
-                        &mut achan,
-                        &kp,
-                        &us,
-                        k,
-                        &domain,
-                        false,
-                        &ProtocolContext::new(62),
-                    )
-                    .unwrap()
+                let backend = PaillierBackend {
+                    my_keypair: &keypair,
+                    peer_pk: &keypair.public,
+                    comparator: Comparator::Ideal,
+                    packed: false,
+                    mul_packing: None,
+                    dot_packing: None,
+                    mul_mask_bound: BigUint::zero(),
+                    dot_mask_bound: BigUint::zero(),
+                };
+                let select =
+                    |chan: &mut ppds_transport::MemoryChannel, role, shares: &[i64], seed| {
+                        kth_smallest_with(
+                            method,
+                            &backend,
+                            chan,
+                            role,
+                            shares,
+                            k,
+                            &domain,
+                            &ProtocolContext::new(seed),
+                            &mut SharingLedger::default(),
+                        )
+                        .unwrap()
+                    };
+                let outcome = std::thread::scope(|s| {
+                    let alice = s.spawn(|| select(&mut achan, Party::Alice, &us, 62));
+                    let bob = select(&mut bchan, Party::Bob, &vs, 63);
+                    assert_eq!(alice.join().unwrap(), bob);
+                    bob
                 });
-                let outcome = kth_smallest_bob(
-                    method,
-                    Comparator::Ideal,
-                    &mut bchan,
-                    &keypair.public,
-                    &vs,
-                    k,
-                    &domain,
-                    false,
-                    &ProtocolContext::new(63),
-                )
-                .unwrap();
-                let _ = handle.join().unwrap();
                 counts.push(outcome.comparisons);
             }
             print_row(
@@ -573,13 +588,12 @@ fn e9() {
     println!("(K−1 separate counts per query) — the trade the module docs discuss.");
 }
 
-/// One row of the round-batching sweep: a protocol family under one
-/// framing, with the measured wire figures and modeled link times.
+/// One row of the protocol sweeps: a protocol family on one substrate and
+/// transport, with the measured wire figures and modeled link times.
 #[derive(Clone)]
-struct BatchBenchRow {
+struct ProtocolRow {
     protocol: &'static str,
     backend: &'static str,
-    batching: bool,
     packing: bool,
     rounds: u64,
     messages: u64,
@@ -589,7 +603,7 @@ struct BatchBenchRow {
 }
 
 /// Runs one closure per two-party protocol family on the canonical n = 36
-/// blob workload (shared by the batching and packing sweeps).
+/// blob workload (shared by the E10, E11 and E12 sweeps).
 #[allow(clippy::type_complexity)]
 fn protocol_runs<'a>(
     w: &'a ppds_bench::Workload,
@@ -609,9 +623,9 @@ fn protocol_runs<'a>(
             Box::new(|cfg| run_enhanced_pair(cfg, &w.alice, &w.bob, rng(83), rng(84)).unwrap()),
         ),
         (
-            // Quickselect partitions are the enhanced protocol's batchable
-            // comparisons (repeated-min is sequential by construction), and
-            // a higher MinPts forces the joint core tests to engage.
+            // Quickselect ships each partition level as one comparison batch
+            // (repeated-min is sequential by construction), and a higher
+            // MinPts forces the joint core tests to engage.
             "enhanced-quickselect",
             Box::new(|cfg| {
                 let mut cfg = *cfg;
@@ -631,12 +645,11 @@ fn protocol_runs<'a>(
     ]
 }
 
-fn row_from(protocol: &'static str, cfg: &ProtocolConfig, out: &PartyOutput) -> BatchBenchRow {
+fn row_from(protocol: &'static str, cfg: &ProtocolConfig, out: &PartyOutput) -> ProtocolRow {
     let t = out.traffic;
-    BatchBenchRow {
+    ProtocolRow {
         protocol,
         backend: cfg.backend.name(),
-        batching: cfg.batching,
         packing: cfg.packing,
         rounds: t.total_rounds(),
         messages: t.total_messages(),
@@ -646,34 +659,26 @@ fn row_from(protocol: &'static str, cfg: &ProtocolConfig, out: &PartyOutput) -> 
     }
 }
 
-/// Runs every two-party protocol family batched and unbatched on the
-/// canonical n = 36 blob workload and returns one row per (protocol,
-/// framing), all on the given SMC substrate. The per-protocol outputs are
-/// asserted label- and leakage-identical across framings before any number
-/// is reported.
-fn batching_sweep(backend: BackendKind) -> Vec<BatchBenchRow> {
+/// Runs every two-party protocol family once on the canonical n = 36 blob
+/// workload and returns one row per protocol, all on the given SMC
+/// substrate, unpacked.
+fn protocol_sweep(backend: BackendKind) -> Vec<ProtocolRow> {
     let w = blob_workload(36, 2, 9_100);
     let vp = VerticalPartition::split(&w.all, 1);
     let ap = ArbitraryPartition::random(&mut rng(9_101), &w.all);
-    let mut rows = Vec::new();
-    for (protocol, run) in &protocol_runs(&w, &vp, &ap) {
-        let plain_cfg = w.cfg.with_backend(backend);
-        let batched_cfg = plain_cfg.with_batching(true);
-        let plain = run(&plain_cfg);
-        let batched = run(&batched_cfg);
-        assert_eq!(plain.0.clustering, batched.0.clustering, "{protocol}");
-        assert_eq!(plain.0.leakage, batched.0.leakage, "{protocol}");
-        rows.push(row_from(protocol, &plain_cfg, &plain.0));
-        rows.push(row_from(protocol, &batched_cfg, &batched.0));
-    }
+    let cfg = w.cfg.with_backend(backend);
+    let rows = protocol_runs(&w, &vp, &ap)
+        .iter()
+        .map(|(protocol, run)| row_from(protocol, &cfg, &run(&cfg).0))
+        .collect();
     rows
 }
 
 /// Runs every two-party protocol family with plaintext-slot packing on and
-/// off (round batching on in both, so the delta isolates packing) on the
-/// same workload and seeds as [`batching_sweep`]. Labels, leakage, and the
-/// Yao ledger are asserted identical before any number is reported.
-fn packing_sweep() -> Vec<BatchBenchRow> {
+/// off on the same workload and seeds as [`protocol_sweep`]. Labels,
+/// leakage, and the Yao ledger are asserted identical before any number is
+/// reported.
+fn packing_sweep() -> Vec<ProtocolRow> {
     // Slot packing is a Paillier transport concern, so this sweep always
     // runs on the default (Paillier) substrate.
     let w = blob_workload(36, 2, 9_100);
@@ -681,8 +686,8 @@ fn packing_sweep() -> Vec<BatchBenchRow> {
     let ap = ArbitraryPartition::random(&mut rng(9_101), &w.all);
     let mut rows = Vec::new();
     for (protocol, run) in &protocol_runs(&w, &vp, &ap) {
-        let packed_cfg = w.cfg.with_batching(true).with_packing(true);
-        let plain = run(&w.cfg.with_batching(true));
+        let packed_cfg = w.cfg.with_packing(true);
+        let plain = run(&w.cfg);
         let packed = run(&packed_cfg);
         assert_eq!(plain.0.clustering, packed.0.clustering, "{protocol}");
         assert_eq!(plain.0.leakage, packed.0.leakage, "{protocol}");
@@ -692,46 +697,61 @@ fn packing_sweep() -> Vec<BatchBenchRow> {
     rows
 }
 
-/// E10 — the round-batched pipeline: one message per neighborhood instead
-/// of one per comparison; wire rounds (and with them modeled WAN latency)
-/// collapse while bytes, logical messages, outputs, and leakage are
-/// unchanged.
-fn e10(backend: BackendKind) -> Vec<BatchBenchRow> {
+/// E10 — round batching, the one framing every protocol runs: each
+/// neighborhood query ships one wire frame per protocol message, so wire
+/// rounds are O(1) per query while the logical messages — the paper's
+/// per-comparison message count — stay as the analysis states them. The
+/// "1 msg/round" column models the paper's ping-pong framing on the same
+/// WAN link by charging one round per logical message.
+fn e10(backend: BackendKind) -> Vec<ProtocolRow> {
     section(&format!(
-        "E10  Round batching: wire rounds and modeled link time (n = 36, {})",
+        "E10  Round batching: wire rounds vs logical messages (n = 36, {})",
         backend.name()
     ));
-    let rows = batching_sweep(backend);
-    let widths = [11, 6, 8, 9, 11, 9, 10];
+    let rows = protocol_sweep(backend);
+    let widths = [20, 8, 9, 8, 11, 9, 10, 13];
     print_header(
         &widths,
         &[
             "protocol",
-            "batch",
             "rounds",
             "messages",
+            "msg/rnd",
             "wire bytes",
             "LAN ms",
             "WAN ms",
+            "1 msg/round",
         ],
     );
     for row in &rows {
+        let one_round_per_message = ppds_transport::MetricsSnapshot {
+            rounds_sent: row.messages,
+            bytes_sent: row.bytes,
+            ..Default::default()
+        };
         print_row(
             &widths,
             &[
                 row.protocol.into(),
-                if row.batching { "on" } else { "off" }.into(),
                 format!("{}", row.rounds),
                 format!("{}", row.messages),
+                format!("{:.1}", row.messages as f64 / row.rounds.max(1) as f64),
                 fmt_bytes(row.bytes),
                 format!("{:.1}", row.lan_ms),
                 format!("{:.0}", row.wan_ms),
+                format!(
+                    "{:.0}",
+                    CostModel::wan()
+                        .estimate(&one_round_per_message)
+                        .as_secs_f64()
+                        * 1e3
+                ),
             ],
         );
     }
-    println!("\nLabels and leakage logs are identical across framings (asserted);");
-    println!("rounds drop from O(candidates) to O(1) per neighborhood query, so");
-    println!("the 20 ms-per-hop WAN model collapses by the same factor.");
+    println!("\nRounds are O(1) per neighborhood query; the logical-message counter");
+    println!("keeps the paper's per-comparison count, and the last column models");
+    println!("what one round per message would cost on the 20 ms-per-hop WAN.");
     rows
 }
 
@@ -740,7 +760,7 @@ fn e10(backend: BackendKind) -> Vec<BatchBenchRow> {
 /// comparator's verdict-sized padding) ride packed Paillier words, so
 /// bytes — and keyholder decryptions — drop by roughly the packing factor
 /// while labels, leakage, and the Yao ledger are unchanged (asserted).
-fn e11(baseline: &[BatchBenchRow]) -> Vec<BatchBenchRow> {
+fn e11(baseline: &[ProtocolRow]) -> Vec<ProtocolRow> {
     section("E11  Slot packing: wire bytes with packed response words (n = 36)");
     let packed = packing_sweep();
     let widths = [20, 5, 11, 11, 7, 10];
@@ -759,7 +779,7 @@ fn e11(baseline: &[BatchBenchRow]) -> Vec<BatchBenchRow> {
     for row in packed {
         let unpacked = baseline
             .iter()
-            .find(|r| r.protocol == row.protocol && r.batching)
+            .find(|r| r.protocol == row.protocol && r.backend == "paillier" && !r.packing)
             .expect("baseline row exists");
         for (r, factor) in [
             (unpacked, String::new()),
@@ -796,7 +816,7 @@ fn e11(baseline: &[BatchBenchRow]) -> Vec<BatchBenchRow> {
 /// before any number is reported, and the vertical protocol must cut wire
 /// bytes by at least 10x (the PR's acceptance bar). The dealer-tape
 /// precomputation the online run consumes is ledgered per row.
-fn e12() -> Vec<BatchBenchRow> {
+fn e12() -> Vec<ProtocolRow> {
     section("E12  Secret-sharing backend vs packed Paillier (n = 36)");
     let w = blob_workload(36, 2, 9_100);
     let vp = VerticalPartition::split(&w.all, 1);
@@ -816,16 +836,12 @@ fn e12() -> Vec<BatchBenchRow> {
     );
     let mut rows = Vec::new();
     for (protocol, run) in &protocol_runs(&w, &vp, &ap) {
-        let paillier_cfg = w.cfg.with_batching(true).with_packing(true);
-        let sharing_plain_cfg = w.cfg.with_backend(BackendKind::Sharing);
-        let sharing_cfg = sharing_plain_cfg.with_batching(true);
+        let paillier_cfg = w.cfg.with_packing(true);
+        let sharing_cfg = w.cfg.with_backend(BackendKind::Sharing);
         let p = run(&paillier_cfg);
-        let plain = run(&sharing_plain_cfg);
         let s = run(&sharing_cfg);
         assert_eq!(p.0.clustering, s.0.clustering, "{protocol}: backend parity");
         assert_eq!(p.0.leakage, s.0.leakage, "{protocol}: backend parity");
-        assert_eq!(plain.0.clustering, s.0.clustering, "{protocol}: framing");
-        assert_eq!(plain.0.leakage, s.0.leakage, "{protocol}: framing");
         let (pb, sb) = (p.0.traffic.total_bytes(), s.0.traffic.total_bytes());
         if *protocol == "vertical" {
             assert!(
@@ -846,7 +862,6 @@ fn e12() -> Vec<BatchBenchRow> {
                 fmt_bytes(ledger.modeled_offline_bytes),
             ],
         );
-        rows.push(row_from(protocol, &sharing_plain_cfg, &plain.0));
         rows.push(row_from(protocol, &sharing_cfg, &s.0));
     }
     println!("\nEvery ciphertext leg (DGK bit vectors, masked-distance and masked-");
@@ -858,14 +873,14 @@ fn e12() -> Vec<BatchBenchRow> {
 }
 
 /// One flight-recorded session per protocol mode on the canonical n = 36
-/// workload (round batching on — the production framing). Each trace is
+/// workload. Each trace is
 /// schema-validated before it is returned, so downstream serializers can
 /// unwrap rollups.
 fn traced_runs() -> Vec<(&'static str, SessionTrace)> {
     let w = blob_workload(36, 2, 9_100);
     let vp = VerticalPartition::split(&w.all, 1);
     let ap = ArbitraryPartition::random(&mut rng(9_101), &w.all);
-    let cfg = w.cfg.with_batching(true);
+    let cfg = w.cfg;
     let mut out: Vec<(&'static str, SessionTrace)> = Vec::new();
 
     let mut two_party = |mode: &'static str, alice: PartyData, bob: PartyData| {
@@ -1007,7 +1022,7 @@ fn phases_json(runs: &[(&'static str, SessionTrace)]) -> String {
 
 fn write_bench_json(
     path: &str,
-    rows: &[BatchBenchRow],
+    rows: &[ProtocolRow],
     runs: &[(&'static str, SessionTrace)],
     scaling: &[ScalingRow],
 ) {
@@ -1041,12 +1056,11 @@ fn write_bench_json(
     out.push_str("  \"protocols\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"backend\": \"{}\", \"batching\": {}, \"packing\": {}, \
+            "    {{\"protocol\": \"{}\", \"backend\": \"{}\", \"packing\": {}, \
              \"rounds\": {}, \"messages\": {}, \"bytes\": {}, \"modeled_lan_ms\": {:.3}, \
              \"modeled_wan_ms\": {:.3}}}{}\n",
             row.protocol,
             row.backend,
-            row.batching,
             row.packing,
             row.rounds,
             row.messages,
@@ -1117,8 +1131,7 @@ fn e13(max_n: usize) -> Vec<ScalingRow> {
             },
             side,
         )
-        .with_backend(BackendKind::Sharing)
-        .with_batching(true);
+        .with_backend(BackendKind::Sharing);
         let vp = VerticalPartition::split(&points, 1);
         let mut variants: Vec<(&'static str, ProtocolConfig)> = Vec::new();
         if n <= 1_000 {
@@ -1221,9 +1234,9 @@ fn f1() {
 /// The full sweep chain (E10 → E11 → E12), honouring the `--backend`
 /// restriction: `Some(Paillier)` drops the sharing rows, `Some(Sharing)`
 /// drops the Paillier rows (and with them the Paillier-anchored E11/E12,
-/// printing the batching sweep on the sharing substrate instead), `None`
+/// printing E10 on the sharing substrate instead), `None`
 /// emits per-backend rows for the full trajectory.
-fn run_sweeps(backend: Option<BackendKind>) -> Vec<BatchBenchRow> {
+fn run_sweeps(backend: Option<BackendKind>) -> Vec<ProtocolRow> {
     let mut rows = Vec::new();
     if backend != Some(BackendKind::Sharing) {
         rows = e10(BackendKind::Paillier);
@@ -1307,7 +1320,7 @@ fn main() {
             selector = Some(arg);
         }
     }
-    // `--json` or `--trace` alone runs the batching + packing sweeps; a
+    // `--json` or `--trace` alone runs the protocol sweeps; a
     // selector (or nothing) runs the printed experiments as before.
     let selector = selector.unwrap_or_else(|| {
         if json_path.is_some() || trace_path.is_some() {
@@ -1324,7 +1337,7 @@ fn main() {
 
     let t0 = Instant::now();
     println!("# Privacy-preserving distributed DBSCAN — experiment run");
-    let mut sweep_rows: Option<Vec<BatchBenchRow>> = None;
+    let mut sweep_rows: Option<Vec<ProtocolRow>> = None;
     let mut scaling_rows: Option<Vec<ScalingRow>> = None;
     match selector.as_str() {
         "e1" => e1(),
@@ -1338,7 +1351,7 @@ fn main() {
         "e9" => e9(),
         "e10" => sweep_rows = Some(e10(backend.unwrap_or_default())),
         "e11" => {
-            let mut rows = batching_sweep(BackendKind::Paillier);
+            let mut rows = protocol_sweep(BackendKind::Paillier);
             let packed = e11(&rows);
             rows.extend(packed);
             sweep_rows = Some(rows);
@@ -1377,7 +1390,7 @@ fn main() {
         }
         if let Some(path) = &json_path {
             let rows = sweep_rows.unwrap_or_else(|| {
-                let mut rows = batching_sweep(BackendKind::Paillier);
+                let mut rows = protocol_sweep(BackendKind::Paillier);
                 rows.extend(packing_sweep());
                 rows
             });

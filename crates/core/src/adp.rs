@@ -67,149 +67,21 @@ fn classify(view: &PairView<'_>) -> LocalParts {
     }
 }
 
-/// Alice's side of one arbitrary-partition comparison. `ctx` is this
-/// pair's record scope and `record` its index in the candidate set (the
-/// keys the batched form derives for the same pair). Returns
-/// `dist²(x, y) ≤ Eps²`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_alice<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    view: PairView<'_>,
-    ctx: &ProtocolContext,
-    record: u64,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    let total_dim = view.x.len();
-    let parts = classify(&view);
-    // Cross terms through the Multiplication Protocol (Bob keyholder).
-    if !parts.split_endpoints.is_empty() {
-        backend.mul_fold_peer(
-            chan,
-            std::slice::from_ref(&parts.split_endpoints),
-            &[record],
-            ctx,
-            acct,
-        )?;
-    }
-    let i_val = parts.both_owned + parts.split_endpoints.iter().map(|&v| v * v).sum::<i64>();
-    let domain = adp_domain(cfg, total_dim);
-    ledger.record(cfg.key_bits, domain.n0());
-    backend.compare(
-        chan,
-        Party::Alice,
-        i_val,
-        CmpOp::Leq,
-        &domain,
-        &ctx.narrow("cmp").at(record),
-        acct,
-    )
-}
-
-/// Bob's side of one arbitrary-partition comparison.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    view: PairView<'_>,
-    ctx: &ProtocolContext,
-    record: u64,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    let total_dim = view.x.len();
-    let parts = classify(&view);
-    let mut cross = 0i64;
-    if !parts.split_endpoints.is_empty() {
-        cross = backend.mul_fold_keyholder(
-            chan,
-            std::slice::from_ref(&parts.split_endpoints),
-            &[record],
-            ctx,
-            acct,
-        )?[0];
-    }
-    let squares: i64 = parts.split_endpoints.iter().map(|&v| v * v).sum();
-    let j_val = cfg.params.eps_sq as i64 - parts.both_owned - squares + 2 * cross;
-    let domain = adp_domain(cfg, total_dim);
-    ledger.record(cfg.key_bits, domain.n0());
-    backend.compare(
-        chan,
-        Party::Bob,
-        j_val,
-        CmpOp::Leq,
-        &domain,
-        &ctx.narrow("cmp").at(record),
-        acct,
-    )
-}
-
-/// One ADP decision per pair view of a whole candidate set, dispatched on
-/// `cfg.batching`: batched mode runs [`adp_compare_batch_alice`],
-/// reference mode one [`adp_compare_alice`] ping-pong per pair. Outcomes
-/// are identical either way. `records` carries one stable record id per
-/// view; randomness is keyed by id, not position, so pruned (sparse)
-/// candidate sets draw the same per-pair randomness as exhaustive ones.
+/// Alice's side of the ADP decisions for a whole candidate set: one
+/// `dist²(x, y) ≤ Eps²` bit per pair view. The multiplication stages of
+/// every split pair ride one wire frame each direction (Bob keyholder),
+/// then one comparison batch decides all pairs — 5 rounds per neighborhood
+/// instead of the paper's 5 per pair; a single pair is the one-view set.
+///
+/// Randomness: `records` carries one stable record id per view, and a
+/// split pair's zero-sum masks and multiplication nonces are keyed by that
+/// id under `ctx` (`mask`/`mul` record `records[i]`), so a pruned (sparse)
+/// candidate set draws the same multiplication randomness for record `y`
+/// as the exhaustive set does. The comparison randomness of view `i` is
+/// item `i` of the comparison batch under `ctx.narrow("cmp")` — keyed by
+/// position, which both parties enumerate identically.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn adp_compare_set_alice<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    views: &[PairView<'_>],
-    records: &[u64],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    debug_assert_eq!(views.len(), records.len(), "one record id per view");
-    if cfg.batching {
-        return adp_compare_batch_alice(chan, cfg, backend, views, records, ctx, ledger, acct);
-    }
-    views
-        .iter()
-        .zip(records)
-        .map(|(&view, &record)| {
-            adp_compare_alice(chan, cfg, backend, view, ctx, record, ledger, acct)
-        })
-        .collect()
-}
-
-/// Bob's side of [`adp_compare_set_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_set_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    views: &[PairView<'_>],
-    records: &[u64],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    debug_assert_eq!(views.len(), records.len(), "one record id per view");
-    if cfg.batching {
-        return adp_compare_batch_bob(chan, cfg, backend, views, records, ctx, ledger, acct);
-    }
-    views
-        .iter()
-        .zip(records)
-        .map(|(&view, &record)| {
-            adp_compare_bob(chan, cfg, backend, view, ctx, record, ledger, acct)
-        })
-        .collect()
-}
-
-/// Round-batched Alice side: one ADP decision per pair view of a whole
-/// candidate set. The multiplication stages of every split pair ride one
-/// wire frame each direction (Bob keyholder), then one batched comparison
-/// decides all pairs — 5 rounds per neighborhood instead of 5 per pair.
-/// Outcome `r[i]` equals [`adp_compare_alice`] on `views[i]`; the per-pair
-/// zero-sum masks cancel exactly as in the sequential run.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_batch_alice<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
@@ -224,13 +96,11 @@ pub fn adp_compare_batch_alice<C: Channel, B: SmcBackend>(
     }
     let total_dim = views[0].x.len();
     let parts: Vec<LocalParts> = views.iter().map(classify).collect();
-    // Cross terms for every split pair in one batched Multiplication
-    // Protocol run. Pairs without split attributes are excluded from the
-    // batch, exactly as the sequential protocol skips their exchange —
-    // ownership is complementary, so both parties filter identically and
-    // logical message counts match the unbatched run. Each group keys its
-    // randomness by the pair's *record id*, matching the sequential
-    // [`adp_compare_alice`] call for that pair.
+    // Cross terms for every split pair in one Multiplication Protocol
+    // batch. Pairs without split attributes need no multiplication and are
+    // left out — ownership is complementary, so both parties filter
+    // identically. Each group keys its randomness by the pair's *record
+    // id*.
     let split_pairs: Vec<usize> = (0..parts.len())
         .filter(|&i| !parts[i].split_endpoints.is_empty())
         .collect();
@@ -261,9 +131,9 @@ pub fn adp_compare_batch_alice<C: Channel, B: SmcBackend>(
     )
 }
 
-/// Round-batched Bob side of [`adp_compare_batch_alice`].
+/// Bob's side of [`adp_compare_set_alice`].
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_batch_bob<C: Channel, B: SmcBackend>(
+pub fn adp_compare_set_bob<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
@@ -335,150 +205,152 @@ mod tests {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(55)))
     }
 
-    /// Runs one comparison for records x_idx, y_idx of a partition.
-    fn run(cfg: ProtocolConfig, part: &ArbitraryPartition, x: usize, y: usize) -> bool {
-        let (mut achan, mut bchan) = duplex();
-        let ax = part.alice_values[x].clone();
-        let ay = part.alice_values[y].clone();
-        let dim = ax.len();
-        let a = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            adp_compare_alice(
-                &mut achan,
-                &cfg,
-                &backend,
-                PairView { x: &ax, y: &ay },
-                &ctx(600 + x as u64),
-                0,
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap()
-        });
-        let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let bob_view = adp_compare_bob(
-            &mut bchan,
-            &cfg,
-            &backend,
-            PairView {
-                x: &part.bob_values[x],
-                y: &part.bob_values[y],
-            },
-            &ctx(700 + y as u64),
-            0,
-            &mut ledger,
-            &mut acct,
-        )
-        .unwrap();
-        let alice_view = a.join().unwrap();
-        assert_eq!(alice_view, bob_view);
-        alice_view
-    }
-
-    #[test]
-    fn matches_plain_distance_on_random_partitions() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 20,
-                min_pts: 2,
-            },
-            4,
-        );
-        let records = vec![
-            Point::new(vec![1, -2, 3, 0]),
-            Point::new(vec![0, -2, 1, 2]),
-            Point::new(vec![4, 4, -4, -4]),
-        ];
-        let mut r = rng(9);
-        for trial in 0..5 {
-            let part = ArbitraryPartition::random(&mut r, &records);
-            for x in 0..records.len() {
-                for y in 0..records.len() {
-                    if x == y {
-                        continue;
-                    }
-                    let expect = dist_sq(&records[x], &records[y]) <= 20;
-                    assert_eq!(run(cfg, &part, x, y), expect, "trial {trial}, ({x},{y})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_matches_plain_distance_in_five_rounds() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 20,
-                min_pts: 2,
-            },
-            4,
-        )
-        .with_batching(true);
-        let records = vec![
-            Point::new(vec![1, -2, 3, 0]),
-            Point::new(vec![0, -2, 1, 2]),
-            Point::new(vec![4, 4, -4, -4]),
-            Point::new(vec![0, 0, 0, 0]),
-        ];
-        let part = ArbitraryPartition::random(&mut rng(77), &records);
-        // One batch: record 0 against every other record.
-        let ys: Vec<usize> = vec![1, 2, 3];
-        let (mut achan, mut bchan) = duplex();
+    /// Runs record `x` against each of `ys` as one candidate set on two
+    /// threads (Paillier backend unless `sharing`); returns the agreed
+    /// verdicts and Alice's metrics.
+    fn run_set(
+        cfg: ProtocolConfig,
+        part: &ArbitraryPartition,
+        x: usize,
+        ys: &[usize],
+        sharing: bool,
+    ) -> (Vec<bool>, ppds_transport::MetricsSnapshot) {
+        use ppds_smc::{DealerTape, SharingBackend};
+        let shared = SharingBackend {
+            tape: DealerTape::from_seed(909),
+            dot_mask_bound: 1 << 20,
+        };
+        let dim = part.alice_values[x].len();
+        let records: Vec<u64> = ys.iter().map(|&y| y as u64).collect();
         type OwnedView = (Vec<Option<i64>>, Vec<Option<i64>>);
         let a_views: Vec<OwnedView> = ys
             .iter()
-            .map(|&y| (part.alice_values[0].clone(), part.alice_values[y].clone()))
+            .map(|&y| (part.alice_values[x].clone(), part.alice_values[y].clone()))
             .collect();
+        let (mut achan, mut bchan) = duplex();
+        let a_records = records.clone();
         let a = std::thread::spawn(move || {
             let views: Vec<PairView<'_>> = a_views.iter().map(|(x, y)| PairView { x, y }).collect();
-            let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, 4);
             let mut ledger = YaoLedger::default();
             let mut acct = SharingLedger::default();
-            let out = adp_compare_batch_alice(
-                &mut achan,
-                &cfg,
-                &backend,
-                &views,
-                &[1, 2, 3],
-                &ctx(800),
-                &mut ledger,
-                &mut acct,
-            )
+            let out = if sharing {
+                adp_compare_set_alice(
+                    &mut achan,
+                    &cfg,
+                    &shared,
+                    &views,
+                    &a_records,
+                    &ctx(800),
+                    &mut ledger,
+                    &mut acct,
+                )
+            } else {
+                let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim);
+                adp_compare_set_alice(
+                    &mut achan,
+                    &cfg,
+                    &backend,
+                    &views,
+                    &a_records,
+                    &ctx(800),
+                    &mut ledger,
+                    &mut acct,
+                )
+            }
             .unwrap();
             (out, achan.metrics())
         });
         let b_views: Vec<PairView<'_>> = ys
             .iter()
             .map(|&y| PairView {
-                x: &part.bob_values[0],
+                x: &part.bob_values[x],
                 y: &part.bob_values[y],
             })
             .collect();
-        let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, 4);
         let mut ledger = YaoLedger::default();
         let mut acct = SharingLedger::default();
-        let bob = adp_compare_batch_bob(
-            &mut bchan,
-            &cfg,
-            &backend,
-            &b_views,
-            &[1, 2, 3],
-            &ctx(900),
-            &mut ledger,
-            &mut acct,
-        )
+        let bob = if sharing {
+            adp_compare_set_bob(
+                &mut bchan,
+                &cfg,
+                &shared,
+                &b_views,
+                &records,
+                &ctx(900),
+                &mut ledger,
+                &mut acct,
+            )
+        } else {
+            let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim);
+            adp_compare_set_bob(
+                &mut bchan,
+                &cfg,
+                &backend,
+                &b_views,
+                &records,
+                &ctx(900),
+                &mut ledger,
+                &mut acct,
+            )
+        }
         .unwrap();
         let (alice, metrics) = a.join().unwrap();
         assert_eq!(alice, bob);
+        (alice, metrics)
+    }
+
+    /// One comparison for records `x`, `y` of a partition.
+    fn run(cfg: ProtocolConfig, part: &ArbitraryPartition, x: usize, y: usize) -> bool {
+        run_set(cfg, part, x, &[y], false).0[0]
+    }
+
+    fn cfg(eps_sq: u64, bound: i64) -> ProtocolConfig {
+        ProtocolConfig::new(DbscanParams { eps_sq, min_pts: 2 }, bound)
+    }
+
+    fn four_records() -> Vec<Point> {
+        vec![
+            Point::new(vec![1, -2, 3, 0]),
+            Point::new(vec![0, -2, 1, 2]),
+            Point::new(vec![4, 4, -4, -4]),
+            Point::new(vec![0, 0, 0, 0]),
+        ]
+    }
+
+    #[test]
+    fn matches_plain_distance_on_random_partitions() {
+        let records = &four_records()[..3];
+        let mut r = rng(9);
+        for trial in 0..5 {
+            let part = ArbitraryPartition::random(&mut r, records);
+            for x in 0..records.len() {
+                for y in 0..records.len() {
+                    if x == y {
+                        continue;
+                    }
+                    let expect = dist_sq(&records[x], &records[y]) <= 20;
+                    assert_eq!(
+                        run(cfg(20, 4), &part, x, y),
+                        expect,
+                        "trial {trial}, ({x},{y})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_matches_plain_distance_in_five_rounds() {
+        let records = four_records();
+        let part = ArbitraryPartition::random(&mut rng(77), &records);
+        // One set: record 0 against every other record.
+        let ys: Vec<usize> = vec![1, 2, 3];
+        let (alice, metrics) = run_set(cfg(20, 4), &part, 0, &ys, false);
         for (pos, &y) in ys.iter().enumerate() {
             let expect = dist_sq(&records[0], &records[y]) <= 20;
             assert_eq!(alice[pos], expect, "pair (0,{y})");
         }
-        // 2 rounds of multiplication + 3 of comparison for the whole batch.
+        // 2 rounds of multiplication + 3 of comparison for the whole set.
         assert!(
             metrics.total_rounds() <= 5,
             "rounds = {}",
@@ -488,80 +360,14 @@ mod tests {
 
     #[test]
     fn sharing_backend_matches_plain_distance() {
-        use ppds_smc::{DealerTape, SharingBackend};
-        let records = vec![
-            Point::new(vec![1, -2, 3, 0]),
-            Point::new(vec![0, -2, 1, 2]),
-            Point::new(vec![4, 4, -4, -4]),
-            Point::new(vec![0, 0, 0, 0]),
-        ];
+        let records = four_records();
         let part = ArbitraryPartition::random(&mut rng(78), &records);
         let ys: Vec<usize> = vec![1, 2, 3];
         let expect: Vec<bool> = ys
             .iter()
             .map(|&y| dist_sq(&records[0], &records[y]) <= 20)
             .collect();
-        for batching in [false, true] {
-            let cfg = ProtocolConfig::new(
-                DbscanParams {
-                    eps_sq: 20,
-                    min_pts: 2,
-                },
-                4,
-            )
-            .with_batching(batching);
-            let mk = move || SharingBackend {
-                tape: DealerTape::from_seed(909),
-                batching,
-                dot_mask_bound: 1 << 20,
-            };
-            let (mut achan, mut bchan) = duplex();
-            type OwnedView = (Vec<Option<i64>>, Vec<Option<i64>>);
-            let a_views: Vec<OwnedView> = ys
-                .iter()
-                .map(|&y| (part.alice_values[0].clone(), part.alice_values[y].clone()))
-                .collect();
-            let a = std::thread::spawn(move || {
-                let views: Vec<PairView<'_>> =
-                    a_views.iter().map(|(x, y)| PairView { x, y }).collect();
-                let mut ledger = YaoLedger::default();
-                let mut acct = SharingLedger::default();
-                adp_compare_set_alice(
-                    &mut achan,
-                    &cfg,
-                    &mk(),
-                    &views,
-                    &[1, 2, 3],
-                    &ctx(800),
-                    &mut ledger,
-                    &mut acct,
-                )
-                .unwrap()
-            });
-            let b_views: Vec<PairView<'_>> = ys
-                .iter()
-                .map(|&y| PairView {
-                    x: &part.bob_values[0],
-                    y: &part.bob_values[y],
-                })
-                .collect();
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let bob = adp_compare_set_bob(
-                &mut bchan,
-                &cfg,
-                &mk(),
-                &b_views,
-                &[1, 2, 3],
-                &ctx(900),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap();
-            let alice = a.join().unwrap();
-            assert_eq!(alice, expect, "batching={batching}");
-            assert_eq!(bob, expect, "batching={batching}");
-        }
+        assert_eq!(run_set(cfg(20, 4), &part, 0, &ys, true).0, expect);
     }
 
     #[test]
@@ -571,14 +377,7 @@ mod tests {
         let records = vec![Point::new(vec![0, 0]), Point::new(vec![3, 4])];
         let ownership = vec![vec![Owner::Alice, Owner::Bob]; 2];
         let part = ArbitraryPartition::from_records(&records, ownership);
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 25,
-                min_pts: 2,
-            },
-            5,
-        );
-        assert!(run(cfg, &part, 0, 1)); // dist² = 25 ≤ 25 (boundary)
+        assert!(run(cfg(25, 5), &part, 0, 1)); // dist² = 25 ≤ 25 (boundary)
     }
 
     #[test]
@@ -592,21 +391,7 @@ mod tests {
             vec![Owner::Bob, Owner::Bob],
         ];
         let part = ArbitraryPartition::from_records(&records, ownership);
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 5,
-                min_pts: 2,
-            },
-            4,
-        );
-        assert!(run(cfg, &part, 0, 1)); // dist² = 1 + 4 = 5 ≤ 5
-        let cfg_tight = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 4,
-                min_pts: 2,
-            },
-            4,
-        );
-        assert!(!run(cfg_tight, &part, 0, 1));
+        assert!(run(cfg(5, 4), &part, 0, 1)); // dist² = 1 + 4 = 5 ≤ 5
+        assert!(!run(cfg(4, 4), &part, 0, 1));
     }
 }

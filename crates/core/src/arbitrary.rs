@@ -14,11 +14,8 @@
 
 use crate::adp::{adp_compare_set_alice, adp_compare_set_bob, PairView};
 use crate::config::ProtocolConfig;
-use crate::driver::PartyOutput;
 use crate::error::CoreError;
-use crate::session::{
-    run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
-};
+use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use crate::vertical::lockstep_dbscan;
 use ppds_dbscan::Clustering;
 use ppds_observe::trace;
@@ -176,38 +173,12 @@ fn arbitrary_band_oracle<C: Channel>(
     Ok(Some(crate::prune::BandCandidates::new(merged, width)))
 }
 
-/// One party's full run over arbitrarily partitioned data. `my_values` is
-/// this party's view: per record, `Some(value)` exactly at the attributes
-/// it owns (see [`crate::partition::ArbitraryPartition`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant with PartyData::Arbitrary"
-)]
-pub fn arbitrary_party<C: Channel>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    my_values: &[Vec<Option<i64>>],
-    role: Party,
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    run_two_party(
-        chan,
-        cfg,
-        &ArbitraryDriver { values: my_values },
-        role,
-        None,
-        &ProtocolContext::from_rng(&mut rng),
-    )
-    .map(|outcome| outcome.output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::driver::run_arbitrary_pair;
+    use crate::driver::PartyOutput;
     use crate::partition::{ArbitraryPartition, Owner};
+    use crate::session::{run_data_pair, PartyData};
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan, DbscanParams, Point};
 
@@ -215,14 +186,20 @@ mod tests {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, bound)
     }
 
-    #[allow(deprecated)]
     fn arbitrary(
         c: &ProtocolConfig,
         part: &ArbitraryPartition,
         sa: u64,
         sb: u64,
     ) -> (PartyOutput, PartyOutput) {
-        run_arbitrary_pair(c, part, rng(sa), rng(sb)).unwrap()
+        run_data_pair(
+            c,
+            PartyData::Arbitrary(part.alice_values.clone()),
+            PartyData::Arbitrary(part.bob_values.clone()),
+            rng(sa),
+            rng(sb),
+        )
+        .unwrap()
     }
 
     fn records() -> Vec<Point> {

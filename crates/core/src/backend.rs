@@ -30,7 +30,6 @@ pub(crate) fn paillier_backend<'a>(
         peer_pk,
         comparator: cfg.comparator,
         packed: cfg.packing,
-        batching: cfg.batching,
         mul_packing: crate::hdp::mul_packing(cfg, dim),
         dot_packing: crate::enhanced::dot_packing(cfg, dim),
         mul_mask_bound: cfg.mul_mask_bound(),
@@ -46,7 +45,6 @@ pub(crate) fn sharing_backend(
 ) -> SharingBackend {
     SharingBackend {
         tape,
-        batching: cfg.batching,
         dot_mask_bound: clamp_sharing_bound(&BigUint::from_u64(cfg.enhanced_mask_bound(dim))),
     }
 }

@@ -30,14 +30,12 @@ pub struct ProtocolConfig {
     /// the share-comparison domain by the same factor (which the faithful
     /// Yao backend cannot afford — `validate` enforces the cap).
     pub mask_bits: u32,
-    /// Round batching: when `true`, every neighborhood query packs all of
-    /// its candidate comparisons (and their multiplication stages) into one
-    /// wire frame per protocol message instead of one round-trip per
-    /// comparison, collapsing wire rounds from `O(candidates)` to `O(1)`
-    /// per query. Outputs, leakage, and comparison counts are identical to
-    /// the unbatched run under the same seeds (pinned by the
-    /// `batching_parity` integration tests); only the framing changes. See
-    /// DESIGN.md §7.
+    /// Retired knob, kept so existing callers still compile. Round batching
+    /// is the only framing (DESIGN.md §7): every neighborhood query packs
+    /// its candidate comparisons and multiplication stages into one wire
+    /// frame per protocol message. Defaults to `true`; no protocol code
+    /// reads it, and [`ProtocolConfig::validate`] rejects `false` with a
+    /// typed [`CoreError::Config`].
     pub batching: bool,
     /// Plaintext-slot packing: when `true`, the ciphertext-heavy *response*
     /// legs ride packed Paillier words (`ppds_paillier::SlotLayout`)
@@ -47,8 +45,7 @@ pub struct ProtocolConfig {
     /// Ideal comparator pads its verdict-sized message to the packed
     /// transcript size — cutting response bytes and the keyholder's
     /// decryption count by roughly the packing factor (~20× at 1024-bit
-    /// keys with 48-bit slots). Orthogonal to `batching` (any of the four
-    /// combinations runs); labels, leakage, and the Yao ledger are
+    /// keys with 48-bit slots). Labels, leakage, and the Yao ledger are
     /// byte-identical to unpacked runs under the same seeds (pinned by the
     /// `packing_parity` integration tests). Both parties must agree — the
     /// handshake rejects a mismatch by name. See DESIGN.md §10.
@@ -85,15 +82,16 @@ impl ProtocolConfig {
             comparator: Comparator::Ideal,
             selection: SelectionMethod::RepeatedMin,
             mask_bits: 20,
-            batching: false,
+            batching: true,
             packing: false,
             backend: BackendKind::Paillier,
             pruning: Pruning::Exhaustive,
         }
     }
 
-    /// Returns a copy with round batching switched on or off (both parties
-    /// must agree; the handshake rejects a mismatch).
+    /// Returns a copy with the retired [`ProtocolConfig::batching`] knob
+    /// set. `true` is the only valid value; `false` fails
+    /// [`ProtocolConfig::validate`] before any frame is sent.
     pub fn with_batching(self, batching: bool) -> Self {
         ProtocolConfig { batching, ..self }
     }
@@ -139,8 +137,22 @@ impl ProtocolConfig {
         }
     }
 
+    /// Rejects the retired unbatched framing (`batching = false`). Checked
+    /// by [`ProtocolConfig::validate`] and, for modes whose dimension is
+    /// only known after the handshake, before the handshake starts.
+    pub(crate) fn check_framing(&self) -> Result<(), CoreError> {
+        if self.batching {
+            Ok(())
+        } else {
+            Err(CoreError::config(
+                "batching = false is no longer supported: round batching is the only framing",
+            ))
+        }
+    }
+
     /// Checks internal consistency for data of dimension `dim`.
     pub fn validate(&self, dim: usize) -> Result<(), CoreError> {
+        self.check_framing()?;
         if self.params.min_pts == 0 {
             return Err(CoreError::config("MinPts must be at least 1"));
         }
@@ -258,9 +270,11 @@ mod tests {
     fn default_config_validates() {
         let cfg = ProtocolConfig::new(params(25, 4), 100);
         assert!(cfg.validate(2).is_ok());
-        assert!(!cfg.batching, "batching defaults off (reference mode)");
-        assert!(cfg.with_batching(true).batching);
-        assert!(cfg.with_batching(true).validate(2).is_ok());
+        assert!(cfg.batching, "round batching is the only framing");
+        match cfg.with_batching(false).validate(2) {
+            Err(CoreError::Config(msg)) => assert!(msg.contains("batching"), "{msg}"),
+            other => panic!("wanted a batching config error, got {other:?}"),
+        }
         assert_eq!(
             cfg.backend,
             BackendKind::Paillier,

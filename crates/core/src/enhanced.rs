@@ -95,9 +95,9 @@ pub fn enhanced_core_test_querier<C: Channel, B: SmcBackend>(
     let shares = backend.dot_many_querier(chan, &xs, responder_count, &ctx.narrow("dot"), acct)?;
     dot_span.end(|| chan.metrics());
 
-    // Phase 2: k-th smallest shared distance. Batching runs quickselect
-    // partitions as one comparison frame set per level (repeated-min is
-    // inherently sequential and executes identically either way).
+    // Phase 2: k-th smallest shared distance (quickselect ships each
+    // partition level as one comparison batch; repeated-min is inherently
+    // sequential, one single-item batch per comparison).
     let domain = enhanced_share_domain(cfg, dim);
     let sel_ctx = ctx.narrow("sel");
     let sel_span = trace::span("sel", || chan.metrics());
@@ -109,7 +109,6 @@ pub fn enhanced_core_test_querier<C: Channel, B: SmcBackend>(
         &shares,
         k_needed,
         &domain,
-        cfg.batching,
         &sel_ctx,
         acct,
     )?;
@@ -121,15 +120,15 @@ pub fn enhanced_core_test_querier<C: Channel, B: SmcBackend>(
     // Phase 3: u_k ≤ Eps² + v_k.
     ledger.record(cfg.key_bits, domain.n0());
     let cmp_span = trace::span("cmp", || chan.metrics());
-    let is_core = backend.compare(
+    let is_core = backend.compare_batch(
         chan,
         Party::Alice,
-        shares[outcome.index],
+        &[shares[outcome.index]],
         CmpOp::Leq,
         &domain,
         &ctx.narrow("cmp"),
         acct,
-    )?;
+    )?[0];
     cmp_span.end(|| chan.metrics());
     leakage.record(LeakageEvent::CorePointBit {
         query: "joint".into(),
@@ -191,7 +190,7 @@ pub fn enhanced_core_respond<C: Channel, B: SmcBackend>(
     let shares = backend.dot_many_responder(chan, &rows, &ctx.narrow("dot"), acct)?;
     dot_span.end(|| chan.metrics());
 
-    // Phase 2: mirror the selection (batched partitions when enabled).
+    // Phase 2: mirror the selection.
     let domain = enhanced_share_domain(cfg, dim);
     let sel_ctx = ctx.narrow("sel");
     let sel_span = trace::span("sel", || chan.metrics());
@@ -203,7 +202,6 @@ pub fn enhanced_core_respond<C: Channel, B: SmcBackend>(
         &shares,
         k,
         &domain,
-        cfg.batching,
         &sel_ctx,
         acct,
     )?;
@@ -215,15 +213,15 @@ pub fn enhanced_core_respond<C: Channel, B: SmcBackend>(
     // Phase 3: Eps² + v_k vs the querier's u_k.
     ledger.record(cfg.key_bits, domain.n0());
     let cmp_span = trace::span("cmp", || chan.metrics());
-    let is_core = backend.compare(
+    let is_core = backend.compare_batch(
         chan,
         Party::Bob,
-        cfg.params.eps_sq as i64 + shares[outcome.index],
+        &[cfg.params.eps_sq as i64 + shares[outcome.index]],
         CmpOp::Leq,
         &domain,
         &ctx.narrow("cmp"),
         acct,
-    )?;
+    )?[0];
     cmp_span.end(|| chan.metrics());
     if is_core {
         // The responder knows which of *his own* points ranked k-th and
@@ -299,6 +297,7 @@ impl ModeDriver for EnhancedDriver<'_> {
                             chan,
                             &points[idx],
                             w,
+                            mctx.session.peer_n,
                             &mut log.leakage,
                             &format!("own#{idx}"),
                         )?,
@@ -486,60 +485,57 @@ mod tests {
             .iter()
             .filter(|p| dist_sq(p, &query) <= 4)
             .count();
-        for batching in [false, true] {
-            for own_count in [0usize, 1, 2] {
-                let run_cfg = cfg(4, 3).with_batching(batching);
-                let expect = own_count + peer_in >= 3;
-                let mk = move || SharingBackend {
-                    tape: DealerTape::from_seed(3131),
-                    batching,
-                    dot_mask_bound: 1 << 20,
-                };
-                let nb = responder_points.len();
-                let (mut qchan, mut rchan) = duplex();
-                let q_query = query.clone();
-                let q = std::thread::spawn(move || {
-                    let mut ledger = YaoLedger::default();
-                    let mut acct = SharingLedger::default();
-                    let mut leakage = LeakageLog::new();
-                    let is_core = enhanced_core_test_querier(
-                        &mut qchan,
-                        &run_cfg,
-                        &mk(),
-                        &q_query,
-                        own_count,
-                        nb,
-                        &ctx(2000 + own_count as u64),
-                        &mut ledger,
-                        &mut acct,
-                        &mut leakage,
-                    )
-                    .unwrap();
-                    (is_core, acct)
-                });
+        for own_count in [0usize, 1, 2] {
+            let run_cfg = cfg(4, 3);
+            let expect = own_count + peer_in >= 3;
+            let backend = SharingBackend {
+                tape: DealerTape::from_seed(3131),
+                dot_mask_bound: 1 << 20,
+            };
+            let nb = responder_points.len();
+            let (mut qchan, mut rchan) = duplex();
+            let q_query = query.clone();
+            let q = std::thread::spawn(move || {
                 let mut ledger = YaoLedger::default();
                 let mut acct = SharingLedger::default();
-                let mut r_leakage = LeakageLog::new();
-                enhanced_core_respond(
-                    &mut rchan,
+                let mut leakage = LeakageLog::new();
+                let is_core = enhanced_core_test_querier(
+                    &mut qchan,
                     &run_cfg,
-                    &mk(),
-                    &responder_points,
-                    &[0, 1, 2, 3],
-                    2,
-                    &ctx(2001 + own_count as u64),
+                    &backend,
+                    &q_query,
+                    own_count,
+                    nb,
+                    &ctx(2000 + own_count as u64),
                     &mut ledger,
                     &mut acct,
-                    &mut r_leakage,
+                    &mut leakage,
                 )
                 .unwrap();
-                let (is_core, q_acct) = q.join().unwrap();
-                assert_eq!(is_core, expect, "batching={batching} own={own_count}");
-                assert!(
-                    q_acct.opened_elements > 0,
-                    "dot product opens masked elements"
-                );
-            }
+                (is_core, acct)
+            });
+            let mut ledger = YaoLedger::default();
+            let mut acct = SharingLedger::default();
+            let mut r_leakage = LeakageLog::new();
+            enhanced_core_respond(
+                &mut rchan,
+                &run_cfg,
+                &backend,
+                &responder_points,
+                &[0, 1, 2, 3],
+                2,
+                &ctx(2001 + own_count as u64),
+                &mut ledger,
+                &mut acct,
+                &mut r_leakage,
+            )
+            .unwrap();
+            let (is_core, q_acct) = q.join().unwrap();
+            assert_eq!(is_core, expect, "own={own_count}");
+            assert!(
+                q_acct.opened_elements > 0,
+                "dot product opens masked elements"
+            );
         }
     }
 

@@ -39,181 +39,19 @@ use ppds_transport::Channel;
 use rand::seq::SliceRandom;
 
 /// Querier side of one neighborhood query: returns how many of the
-/// responder's `responder_count` points lie within `Eps` of `query`.
-/// `ctx` is this query instance's context (the driver narrows per query);
-/// responder point `i` draws its masks, multiplication nonces, and
-/// comparison randomness from substreams keyed by `i`, so the batched
-/// framing derives identical bytes.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_query_querier<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    query: &Point,
-    responder_count: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<usize, SmcError> {
-    let dim = query.dim();
-    let domain = hdp_domain(cfg, dim);
-    let i_val = i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice");
-    let ys_group = vec![query.coords().to_vec()];
-    let cmp_ctx = ctx.narrow("cmp");
-    let mut count = 0usize;
-    for pos in 0..responder_count {
-        // Stage 1: responder (keyholder) gets a_k·b_k + r_k per attribute.
-        backend.mul_fold_peer(chan, &ys_group, &[pos as u64], ctx, acct)?;
-        // Stage 2: one Yao comparison under the querier's key.
-        ledger.record(cfg.key_bits, domain.n0());
-        let within = backend.compare(
-            chan,
-            Party::Alice,
-            i_val,
-            CmpOp::Leq,
-            &domain,
-            &cmp_ctx.at(pos as u64),
-            acct,
-        )?;
-        count += within as usize;
-    }
-    Ok(count)
-}
-
-/// Responder side of one neighborhood query over `my_points`, restricted
-/// to the `candidates` indices (the full range when pruning is off — see
-/// the crate-internal `prune` module). Returns the number of served points
-/// that matched
-/// (the same bits the querier counted). The Figure-1-defense permutation
-/// draws from the query context's `"perm"` substream; the point at
-/// permuted position `i` keys its multiplication and comparison
-/// randomness by `i`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_respond<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    my_points: &[Point],
-    candidates: &[usize],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-    leakage: &mut LeakageLog,
-) -> Result<usize, SmcError> {
-    let dim = my_points.first().map_or(0, Point::dim);
-    let domain = hdp_domain(cfg, dim);
-    let eps = cfg.params.eps_sq as i64;
-
-    // Fresh permutation per query: the querier sees match bits in an order
-    // it cannot link to any previous query (Figure 1 defense).
-    let mut order: Vec<usize> = candidates.to_vec();
-    order.shuffle(&mut ctx.narrow("perm").rng());
-    let cmp_ctx = ctx.narrow("cmp");
-
-    let mut count = 0usize;
-    for (pos, &idx) in order.iter().enumerate() {
-        let point = &my_points[idx];
-        let xs_group = vec![point.coords().to_vec()];
-        let inner_product =
-            backend.mul_fold_keyholder(chan, &xs_group, &[pos as u64], ctx, acct)?[0];
-        let j_val = eps - point.norm_sq() as i64 + 2 * inner_product;
-        ledger.record(cfg.key_bits, domain.n0());
-        let within = backend.compare(
-            chan,
-            Party::Bob,
-            j_val,
-            CmpOp::Leq,
-            &domain,
-            &cmp_ctx.at(pos as u64),
-            acct,
-        )?;
-        if within {
-            count += 1;
-            leakage.record(LeakageEvent::OwnPointMatched {
-                point: format!("own#{idx}"),
-            });
-        }
-    }
-    Ok(count)
-}
-
-/// One neighborhood query dispatched on `cfg.batching`:
-/// [`hdp_query_querier_batch`] when on, [`hdp_query_querier`] when off.
-/// The count returned is identical either way.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_query<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    query: &Point,
-    responder_count: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<usize, SmcError> {
-    if cfg.batching {
-        hdp_query_querier_batch(
-            chan,
-            cfg,
-            backend,
-            query,
-            responder_count,
-            ctx,
-            ledger,
-            acct,
-        )
-    } else {
-        hdp_query_querier(
-            chan,
-            cfg,
-            backend,
-            query,
-            responder_count,
-            ctx,
-            ledger,
-            acct,
-        )
-    }
-}
-
-/// Responder side of [`hdp_query`], dispatched the same way. `candidates`
-/// restricts the served set (pass the full range when pruning is off);
-/// its length must equal the `responder_count` the querier uses.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_serve<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    my_points: &[Point],
-    candidates: &[usize],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-    leakage: &mut LeakageLog,
-) -> Result<usize, SmcError> {
-    if cfg.batching {
-        hdp_respond_batch(
-            chan, cfg, backend, my_points, candidates, ctx, ledger, acct, leakage,
-        )
-    } else {
-        hdp_respond(
-            chan, cfg, backend, my_points, candidates, ctx, ledger, acct, leakage,
-        )
-    }
-}
-
-/// Round-batched querier side: the same neighborhood query as
-/// [`hdp_query_querier`], but the multiplication stage for **all**
-/// responder points rides one wire frame each direction and the final
-/// decisions run as one batched comparison — 5 rounds per query instead of
-/// 5 per responder point.
+/// responder's `responder_count` (candidate) points lie within `Eps` of
+/// `query`. The multiplication stage for **all** responder points rides
+/// one wire frame each direction and the final decisions run as one
+/// comparison batch — 5 rounds per query, where the paper's per-pair
+/// framing pays 5 per responder point (still visible as logical messages).
 ///
-/// Point `i` of the batch draws its masks, nonces, and comparison
-/// randomness from the same keyed substreams the sequential
-/// [`hdp_query_querier`] loop derives for position `i`, so under the same
-/// session seed the count returned, the responder's permutation, and both
-/// leakage logs are identical to the unbatched run — and the per-point
-/// ciphertext work parallelizes (see [`ppds_smc::parallel`]).
+/// `ctx` is this query instance's context (the driver narrows per query).
+/// The responder point at permuted position `i` keys its masks and
+/// multiplication nonces by `i` under `ctx` (`mask`/`mul` record `i`) and
+/// its comparison randomness as item `i` of the batch under
+/// `ctx.narrow("cmp")`, so every point's streams are independent of every
+/// other's and the per-point ciphertext work parallelizes (see
+/// [`ppds_smc::parallel`]).
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn hdp_query_querier_batch<C: Channel, B: SmcBackend>(
     chan: &mut C,
@@ -254,14 +92,19 @@ pub fn hdp_query_querier_batch<C: Channel, B: SmcBackend>(
     Ok(within.into_iter().filter(|&b| b).count())
 }
 
-/// Round-batched responder side of [`hdp_query_querier_batch`]. The fresh
-/// per-query permutation (the Figure 1 defense) draws from the same
-/// `"perm"` substream as [`hdp_respond`], and matched own-point leakage
-/// events are recorded in the same permuted order. Because the point at
-/// permuted position `i` keys all its randomness by `i`, the DGK
-/// backend's value-dependent draws no longer shift any other point's
-/// stream — the divergence that used to be pinned red by
-/// `dgk_backend_parity_on_horizontal` is gone by construction.
+/// Responder side of [`hdp_query_querier_batch`] over `my_points`,
+/// restricted to the `candidates` indices (the full range when pruning is
+/// off — see the crate-internal `prune` module); its length must equal the
+/// `responder_count` the querier uses. Returns the number of served points
+/// that matched (the same bits the querier counted).
+///
+/// A fresh permutation per query (the Figure 1 defense) draws from the
+/// query context's `"perm"` substream, so the querier sees match bits in an
+/// order it cannot link to any previous query; matched own-point leakage
+/// events are recorded in that permuted order. The point at permuted
+/// position `i` keys all its randomness by `i`, exactly as the querier
+/// does, so the DGK backend's value-dependent draws never shift any other
+/// point's stream.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn hdp_respond_batch<C: Channel, B: SmcBackend>(
     chan: &mut C,
@@ -359,83 +202,19 @@ mod tests {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(22)))
     }
 
+    /// One neighborhood query on two threads; returns both counts, the
+    /// responder's leakage, and the querier's ledgers and metrics.
     fn run_query(
         cfg: &ProtocolConfig,
         query: Point,
         responder_points: Vec<Point>,
-    ) -> (usize, usize, LeakageLog) {
-        let (mut qchan, mut rchan) = duplex();
-        let nb = responder_points.len();
-        let cfg_q = *cfg;
-        let q = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg_q, querier_kp(), &responder_kp().public, 2);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            hdp_query_querier(
-                &mut qchan,
-                &cfg_q,
-                &backend,
-                &query,
-                nb,
-                &ctx(100),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap()
-        });
-        let backend = paillier_backend(cfg, responder_kp(), &querier_kp().public, 2);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let mut leakage = LeakageLog::new();
-        let all: Vec<usize> = (0..responder_points.len()).collect();
-        let responder_count = hdp_respond(
-            &mut rchan,
-            cfg,
-            &backend,
-            &responder_points,
-            &all,
-            &ctx(200),
-            &mut ledger,
-            &mut acct,
-            &mut leakage,
-        )
-        .unwrap();
-        (q.join().unwrap(), responder_count, leakage)
-    }
-
-    #[test]
-    fn counts_match_plain_distance_computation() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 9,
-                min_pts: 3,
-            },
-            10,
-        );
-        let query = Point::new(vec![0, 0]);
-        let responder_points = vec![
-            Point::new(vec![1, 1]),   // dist² 2: in
-            Point::new(vec![3, 0]),   // dist² 9: in (boundary)
-            Point::new(vec![3, 1]),   // dist² 10: out
-            Point::new(vec![-2, -2]), // dist² 8: in
-            Point::new(vec![10, 10]), // out
-        ];
-        let expected = responder_points
-            .iter()
-            .filter(|p| dist_sq(p, &query) <= 9)
-            .count();
-        let (qc, rc, leakage) = run_query(&cfg, query, responder_points);
-        assert_eq!(qc, expected);
-        assert_eq!(rc, expected);
-        assert_eq!(leakage.count_kind("own_point_matched"), expected);
-    }
-
-    fn run_query_batch(
-        cfg: &ProtocolConfig,
-        query: Point,
-        responder_points: Vec<Point>,
-        seeds: (u64, u64),
-    ) -> (usize, usize, LeakageLog, ppds_transport::MetricsSnapshot) {
+    ) -> (
+        usize,
+        usize,
+        LeakageLog,
+        YaoLedger,
+        ppds_transport::MetricsSnapshot,
+    ) {
         let (mut qchan, mut rchan) = duplex();
         let nb = responder_points.len();
         let cfg_q = *cfg;
@@ -449,12 +228,17 @@ mod tests {
                 &backend,
                 &query,
                 nb,
-                &ctx(seeds.0),
+                &ctx(100),
                 &mut ledger,
                 &mut acct,
             )
             .unwrap();
-            (count, qchan.metrics())
+            assert_eq!(
+                acct,
+                SharingLedger::default(),
+                "Paillier substrate leaves the sharing ledger untouched"
+            );
+            (count, ledger, qchan.metrics())
         });
         let backend = paillier_backend(cfg, responder_kp(), &querier_kp().public, 2);
         let mut ledger = YaoLedger::default();
@@ -467,18 +251,29 @@ mod tests {
             &backend,
             &responder_points,
             &all,
-            &ctx(seeds.1),
+            &ctx(200),
             &mut ledger,
             &mut acct,
             &mut leakage,
         )
         .unwrap();
-        let (querier_count, metrics) = q.join().unwrap();
-        (querier_count, responder_count, leakage, metrics)
+        assert_eq!(ledger.comparisons, nb as u64, "one comparison per pair");
+        let (querier_count, q_ledger, metrics) = q.join().unwrap();
+        (querier_count, responder_count, leakage, q_ledger, metrics)
+    }
+
+    fn five_points() -> Vec<Point> {
+        vec![
+            Point::new(vec![1, 1]),   // dist² 2: in
+            Point::new(vec![3, 0]),   // dist² 9: in (boundary)
+            Point::new(vec![3, 1]),   // dist² 10: out
+            Point::new(vec![-2, -2]), // dist² 8: in
+            Point::new(vec![10, 10]), // out
+        ]
     }
 
     #[test]
-    fn batched_query_matches_sequential_and_collapses_rounds() {
+    fn counts_match_plain_distances_in_five_rounds() {
         let cfg = ProtocolConfig::new(
             DbscanParams {
                 eps_sq: 9,
@@ -487,29 +282,24 @@ mod tests {
             10,
         );
         let query = Point::new(vec![0, 0]);
-        let responder_points = vec![
-            Point::new(vec![1, 1]),
-            Point::new(vec![3, 0]),
-            Point::new(vec![3, 1]),
-            Point::new(vec![-2, -2]),
-            Point::new(vec![10, 10]),
-        ];
-        // Same seeds as the sequential run: count AND leakage must match
-        // (the responder's permutation is drawn at the same stream point).
-        let (seq_q, seq_r, seq_leak) = run_query(&cfg, query.clone(), responder_points.clone());
-        let batched = cfg.with_batching(true);
-        let (bat_q, bat_r, bat_leak, metrics) =
-            run_query_batch(&batched, query, responder_points, (100, 200));
-        assert_eq!(bat_q, seq_q);
-        assert_eq!(bat_r, seq_r);
-        assert_eq!(bat_leak, seq_leak, "identical permuted leakage order");
+        let responder_points = five_points();
+        let expected = responder_points
+            .iter()
+            .filter(|p| dist_sq(p, &query) <= 9)
+            .count();
+        let (qc, rc, leakage, q_ledger, metrics) = run_query(&cfg, query, responder_points);
+        assert_eq!(qc, expected);
+        assert_eq!(rc, expected);
+        assert_eq!(leakage.count_kind("own_point_matched"), expected);
+        assert_eq!(q_ledger.comparisons, 5);
+        assert!(q_ledger.modeled_bytes > 0);
         // 5 rounds per query (2 mul + 3 compare) instead of 5 per point.
         assert_eq!(metrics.total_rounds(), 5);
         assert!(metrics.total_messages() > metrics.total_rounds());
     }
 
     #[test]
-    fn sharing_backend_matches_paillier_counts() {
+    fn sharing_backend_matches_plain_counts() {
         use ppds_smc::{DealerTape, SharingBackend};
         let cfg = ProtocolConfig::new(
             DbscanParams {
@@ -519,70 +309,59 @@ mod tests {
             10,
         );
         let query = Point::new(vec![0, 0]);
-        let responder_points = vec![
-            Point::new(vec![1, 1]),
-            Point::new(vec![3, 0]),
-            Point::new(vec![3, 1]),
-            Point::new(vec![-2, -2]),
-            Point::new(vec![10, 10]),
-        ];
+        let responder_points = five_points();
         let expected = responder_points
             .iter()
             .filter(|p| dist_sq(p, &query) <= 9)
             .count();
-        for batching in [false, true] {
-            let run_cfg = cfg.with_batching(batching);
-            let mk = move || SharingBackend {
-                tape: DealerTape::from_seed(4242),
-                batching,
-                dot_mask_bound: 1 << 20,
-            };
-            let (mut qchan, mut rchan) = duplex();
-            let nb = responder_points.len();
-            let q_points = query.clone();
-            let q = std::thread::spawn(move || {
-                let mut ledger = YaoLedger::default();
-                let mut acct = SharingLedger::default();
-                let count = hdp_query(
-                    &mut qchan,
-                    &run_cfg,
-                    &mk(),
-                    &q_points,
-                    nb,
-                    &ctx(100),
-                    &mut ledger,
-                    &mut acct,
-                )
-                .unwrap();
-                (count, acct)
-            });
+        let backend = SharingBackend {
+            tape: DealerTape::from_seed(4242),
+            dot_mask_bound: 1 << 20,
+        };
+        let (mut qchan, mut rchan) = duplex();
+        let nb = responder_points.len();
+        let q = std::thread::spawn(move || {
             let mut ledger = YaoLedger::default();
             let mut acct = SharingLedger::default();
-            let mut leakage = LeakageLog::new();
-            let all: Vec<usize> = (0..responder_points.len()).collect();
-            let rc = hdp_serve(
-                &mut rchan,
-                &run_cfg,
-                &mk(),
-                &responder_points,
-                &all,
-                &ctx(200),
+            let count = hdp_query_querier_batch(
+                &mut qchan,
+                &cfg,
+                &backend,
+                &query,
+                nb,
+                &ctx(100),
                 &mut ledger,
                 &mut acct,
-                &mut leakage,
             )
             .unwrap();
-            let (qc, q_acct) = q.join().unwrap();
-            assert_eq!(qc, expected, "batching={batching}");
-            assert_eq!(rc, expected, "batching={batching}");
-            assert_eq!(leakage.count_kind("own_point_matched"), expected);
-            assert_eq!(q_acct.compares, nb as u64);
-            assert!(q_acct.triples > 0, "folds consume Beaver triples");
-        }
+            (count, acct)
+        });
+        let mut ledger = YaoLedger::default();
+        let mut acct = SharingLedger::default();
+        let mut leakage = LeakageLog::new();
+        let all: Vec<usize> = (0..responder_points.len()).collect();
+        let rc = hdp_respond_batch(
+            &mut rchan,
+            &cfg,
+            &backend,
+            &responder_points,
+            &all,
+            &ctx(200),
+            &mut ledger,
+            &mut acct,
+            &mut leakage,
+        )
+        .unwrap();
+        let (qc, q_acct) = q.join().unwrap();
+        assert_eq!(qc, expected);
+        assert_eq!(rc, expected);
+        assert_eq!(leakage.count_kind("own_point_matched"), expected);
+        assert_eq!(q_acct.compares, nb as u64);
+        assert!(q_acct.triples > 0, "folds consume Beaver triples");
     }
 
     #[test]
-    fn batched_empty_responder_set() {
+    fn empty_responder_set_is_wire_silent() {
         let cfg = ProtocolConfig::new(
             DbscanParams {
                 eps_sq: 4,
@@ -590,8 +369,7 @@ mod tests {
             },
             5,
         );
-        let (qc, rc, leakage, metrics) =
-            run_query_batch(&cfg, Point::new(vec![0, 0]), vec![], (100, 200));
+        let (qc, rc, leakage, _, metrics) = run_query(&cfg, Point::new(vec![0, 0]), vec![]);
         assert_eq!(qc, 0);
         assert_eq!(rc, 0);
         assert!(leakage.is_empty());
@@ -609,82 +387,8 @@ mod tests {
         );
         let query = Point::new(vec![-2, 1]);
         let pts = vec![Point::new(vec![-1, 1]), Point::new(vec![2, -2])];
-        let (qc, rc, _) = run_query(&cfg, query, pts);
+        let (qc, rc, ..) = run_query(&cfg, query, pts);
         assert_eq!(qc, 1);
         assert_eq!(rc, 1);
-    }
-
-    #[test]
-    fn empty_responder_set() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 4,
-                min_pts: 2,
-            },
-            5,
-        );
-        let (qc, rc, leakage) = run_query(&cfg, Point::new(vec![0, 0]), vec![]);
-        assert_eq!(qc, 0);
-        assert_eq!(rc, 0);
-        assert!(leakage.is_empty());
-    }
-
-    #[test]
-    fn ledger_counts_one_comparison_per_pair() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 4,
-                min_pts: 2,
-            },
-            5,
-        );
-        let (mut qchan, mut rchan) = duplex();
-        let q = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, querier_kp(), &responder_kp().public, 2);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let c = hdp_query_querier(
-                &mut qchan,
-                &cfg,
-                &backend,
-                &Point::new(vec![0, 0]),
-                3,
-                &ctx(7),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap();
-            (c, ledger, acct)
-        });
-        let backend = paillier_backend(&cfg, responder_kp(), &querier_kp().public, 2);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let mut leakage = LeakageLog::new();
-        let pts = vec![
-            Point::new(vec![0, 1]),
-            Point::new(vec![4, 4]),
-            Point::new(vec![1, 0]),
-        ];
-        hdp_respond(
-            &mut rchan,
-            &cfg,
-            &backend,
-            &pts,
-            &[0, 1, 2],
-            &ctx(8),
-            &mut ledger,
-            &mut acct,
-            &mut leakage,
-        )
-        .unwrap();
-        let (_, q_ledger, q_acct) = q.join().unwrap();
-        assert_eq!(q_ledger.comparisons, 3);
-        assert_eq!(ledger.comparisons, 3);
-        assert!(q_ledger.modeled_bytes > 0);
-        assert_eq!(
-            q_acct,
-            SharingLedger::default(),
-            "Paillier substrate leaves the sharing ledger untouched"
-        );
     }
 }

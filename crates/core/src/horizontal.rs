@@ -18,12 +18,9 @@
 //! [`crate::session::Participant`] builder is the supported entry point.
 
 use crate::config::ProtocolConfig;
-use crate::driver::PartyOutput;
 use crate::error::CoreError;
-use crate::hdp::{hdp_query, hdp_serve};
-use crate::session::{
-    run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
-};
+use crate::hdp::{hdp_query_querier_batch, hdp_respond_batch};
+use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use ppds_dbscan::index::NeighborIndex;
 use ppds_dbscan::{Clustering, Label, Point};
 use ppds_observe::trace;
@@ -207,8 +204,7 @@ impl ModeDriver for HorizontalDriver<'_> {
         // the responder's q-th serve are two halves of the same protocol
         // instance and must walk identical context paths — the sharing
         // backend re-keys this path onto the shared dealer seed, so a path
-        // mismatch would decorrelate the two sides' tape draws. The batched
-        // framing (same query sequence) derives identical streams too.
+        // mismatch would decorrelate the two sides' tape draws.
         let (my_queries, peer_queries) = match mctx.role {
             Party::Alice => ("hdp_a", "hdp_b"),
             Party::Bob => ("hdp_b", "hdp_a"),
@@ -218,7 +214,7 @@ impl ModeDriver for HorizontalDriver<'_> {
         let run_query_phase = |chan: &mut C, log: &mut SessionLog| {
             let mut q = 0u64;
             querier_phase(chan, index.as_ref(), points, |chan, idx, own_count| {
-                // One HDP query per core test: batched mode ships the whole
+                // One HDP query per core test, shipping the whole
                 // responder set in O(1) wire rounds.
                 let qctx = query_ctx.at(q);
                 let span = trace::span_with(|| format!("query#{q}"), || chan.metrics());
@@ -231,12 +227,13 @@ impl ModeDriver for HorizontalDriver<'_> {
                         chan,
                         &points[idx],
                         w,
+                        session.peer_n,
                         &mut log.leakage,
                         &format!("own#{idx}"),
                     )?,
                     None => session.peer_n,
                 };
-                let peer_count = hdp_query(
+                let peer_count = hdp_query_querier_batch(
                     chan,
                     cfg,
                     &backend,
@@ -269,7 +266,7 @@ impl ModeDriver for HorizontalDriver<'_> {
                     None => crate::prune::all_candidates(points.len()),
                 };
                 q += 1;
-                hdp_serve(
+                hdp_respond_batch(
                     chan,
                     cfg,
                     &backend,
@@ -299,57 +296,6 @@ impl ModeDriver for HorizontalDriver<'_> {
     }
 }
 
-/// One party's full run of the **basic** horizontal protocol.
-///
-/// Alice queries first while Bob responds, then the roles swap — both
-/// orderings driven by `role`. Returns this party's own clustering.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant with PartyData::Horizontal"
-)]
-pub fn horizontal_party<C: Channel>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    my_points: &[Point],
-    role: Party,
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    run_two_party(
-        chan,
-        cfg,
-        &HorizontalDriver { points: my_points },
-        role,
-        None,
-        &ProtocolContext::from_rng(&mut rng),
-    )
-    .map(|outcome| outcome.output)
-}
-
-/// One party's full run of the **enhanced** protocol (Section 5).
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant with PartyData::Enhanced"
-)]
-pub fn enhanced_party<C: Channel>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    my_points: &[Point],
-    role: Party,
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    run_two_party(
-        chan,
-        cfg,
-        &crate::enhanced::EnhancedDriver { points: my_points },
-        role,
-        None,
-        &ProtocolContext::from_rng(&mut rng),
-    )
-    .map(|outcome| outcome.output)
-}
-
 /// Validates that every local point respects the agreed lattice bound and
 /// shares one dimension.
 pub(crate) fn check_points(cfg: &ProtocolConfig, points: &[Point]) -> Result<(), CoreError> {
@@ -374,9 +320,8 @@ pub(crate) fn check_points(cfg: &ProtocolConfig, points: &[Point]) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::driver::{run_enhanced_pair, run_horizontal_pair};
-    use crate::session::{Participant, PartyData};
+    use crate::driver::PartyOutput;
+    use crate::session::{run_data_pair, Participant, PartyData};
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan_with_external_density, eval, DbscanParams};
 
@@ -388,9 +333,6 @@ mod tests {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, bound)
     }
 
-    // The deprecated pair helpers stay the most convenient harness for
-    // these unit tests and double as coverage that the wrappers still work.
-    #[allow(deprecated)]
     fn horizontal(
         c: &ProtocolConfig,
         alice: &[Point],
@@ -398,10 +340,16 @@ mod tests {
         sa: u64,
         sb: u64,
     ) -> (PartyOutput, PartyOutput) {
-        run_horizontal_pair(c, alice, bob, rng(sa), rng(sb)).unwrap()
+        run_data_pair(
+            c,
+            PartyData::Horizontal(alice.to_vec()),
+            PartyData::Horizontal(bob.to_vec()),
+            rng(sa),
+            rng(sb),
+        )
+        .unwrap()
     }
 
-    #[allow(deprecated)]
     fn enhanced(
         c: &ProtocolConfig,
         alice: &[Point],
@@ -409,7 +357,14 @@ mod tests {
         sa: u64,
         sb: u64,
     ) -> (PartyOutput, PartyOutput) {
-        run_enhanced_pair(c, alice, bob, rng(sa), rng(sb)).unwrap()
+        run_data_pair(
+            c,
+            PartyData::Enhanced(alice.to_vec()),
+            PartyData::Enhanced(bob.to_vec()),
+            rng(sa),
+            rng(sb),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -33,8 +33,8 @@ use ppds_bigint::BigInt;
 use ppds_dbscan::index::{LinearIndex, NeighborIndex};
 use ppds_dbscan::{dist_sq, Clustering, Label, Point};
 use ppds_paillier::{Keypair, PublicKey};
-use ppds_smc::compare::{compare_alice, compare_bob, CmpOp};
-use ppds_smc::multiplication::{mul_batch_keyholder, mul_batch_peer, zero_sum_masks};
+use ppds_smc::compare::{compare_batch_alice, compare_batch_bob, CmpOp};
+use ppds_smc::multiplication::{mul_batches_keyholder, mul_batches_peer, zero_sum_masks};
 use ppds_smc::{LeakageEvent, LeakageLog, Party, ProtocolContext, SmcError};
 use ppds_transport::Channel;
 use std::collections::{BTreeMap, VecDeque};
@@ -74,27 +74,30 @@ fn kumar_query<C: Channel>(
         .collect();
     let (mask_ctx, mul_ctx, cmp_ctx) = (ctx.narrow("mask"), ctx.narrow("mul"), ctx.narrow("cmp"));
     let mut count = 0usize;
+    // One responder point at a time, each exchange a one-item batch: the
+    // baseline keeps the per-point round trips it is measured against.
     for pos in 0..responder_count {
-        let masks = zero_sum_masks(mask_ctx.rng_for(pos as u64), dim, &cfg.mul_mask_bound());
-        mul_batch_peer(
+        let pos = pos as u64;
+        mul_batches_peer(
             chan,
             responder_pk,
-            &ys,
-            &masks,
+            &[&ys],
+            |_| zero_sum_masks(mask_ctx.rng_for(pos), dim, &cfg.mul_mask_bound()),
+            |_| mul_ctx.at(pos),
             None,
-            &mul_ctx.at(pos as u64),
         )?;
         ledger.record(cfg.key_bits, domain.n0());
-        count += compare_alice(
+        let within = compare_batch_alice(
             cfg.comparator,
             chan,
             my_keypair,
-            i_val,
+            &[i_val],
             CmpOp::Leq,
             &domain,
             false,
-            &cmp_ctx.at(pos as u64),
-        )? as usize;
+            &cmp_ctx.at(pos),
+        )?;
+        count += within[0] as usize;
     }
     Ok(count)
 }
@@ -122,24 +125,24 @@ fn kumar_respond<C: Channel>(
             .iter()
             .map(|&c| BigInt::from_i64(c))
             .collect();
-        let ws = mul_batch_keyholder(chan, my_keypair, &xs, None, &mul_ctx.at(idx as u64))?;
-        let inner: i64 = ws
+        let ws = mul_batches_keyholder(chan, my_keypair, &[xs], |_| mul_ctx.at(idx as u64), None)?;
+        let inner: i64 = ws[0]
             .iter()
             .fold(BigInt::zero(), |acc, w| &acc + w)
             .to_i64()
             .ok_or_else(|| SmcError::protocol("inner product overflows i64"))?;
         let j_val = eps - point.norm_sq() as i64 + 2 * inner;
         ledger.record(cfg.key_bits, domain.n0());
-        let within = compare_bob(
+        let within = compare_batch_bob(
             cfg.comparator,
             chan,
             querier_pk,
-            j_val,
+            &[j_val],
             CmpOp::Leq,
             &domain,
             false,
             &cmp_ctx.at(idx as u64),
-        )?;
+        )?[0];
         leakage.record(LeakageEvent::LinkedNeighborBit {
             query_id,
             point: idx as u64,
@@ -390,8 +393,7 @@ pub fn unlinkable_feasible_region(my_points: &[Point], eps_sq: u64, bound: i64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::driver::run_horizontal_pair;
+    use crate::session::{run_data_pair, PartyData};
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan_with_external_density, DbscanParams};
 
@@ -455,8 +457,14 @@ mod tests {
 
         // Against the honest protocol the same adversary gets no linkable
         // bits at all…
-        #[allow(deprecated)]
-        let (_, honest_bob) = run_horizontal_pair(&cfg, &alice, &bob, rng(5), rng(6)).unwrap();
+        let (_, honest_bob) = run_data_pair(
+            &cfg,
+            PartyData::Horizontal(alice.clone()),
+            PartyData::Horizontal(bob.clone()),
+            rng(5),
+            rng(6),
+        )
+        .unwrap();
         assert_eq!(honest_bob.leakage.count_kind("linked_neighbor_bit"), 0);
         // …and his best unlinkable inference is the union of his disks.
         let union = unlinkable_feasible_region(&bob, 100, 40);

@@ -52,9 +52,8 @@
 //! and a [`config::YaoLedger`] with the modeled faithful-Yao cost — plus
 //! the negotiated [`session::SessionMeta`].
 //!
-//! The original free-function drivers (`run_horizontal_pair` & co.) remain
-//! as deprecated wrappers with byte-identical outputs; the engine-facing
-//! batch surface is [`driver::SessionRequest`]/[`driver::run_session`].
+//! The engine-facing surface is
+//! [`driver::SessionRequest`]/[`driver::run_session`].
 //!
 //! ```
 //! use ppdbscan::session::{run_participants, Participant, PartyData};
@@ -100,14 +99,8 @@ pub mod vdp;
 pub mod vertical;
 
 pub use config::ProtocolConfig;
-#[allow(deprecated)]
-pub use driver::{
-    run_arbitrary_pair, run_enhanced_pair, run_horizontal_pair, run_session, run_vertical_pair,
-    PartyOutput, SessionRequest,
-};
+pub use driver::{run_session, PartyOutput, SessionRequest};
 pub use error::CoreError;
-#[allow(deprecated)]
-pub use multiparty::run_multiparty_horizontal;
 pub use partition::{ArbitraryPartition, VerticalPartition};
 pub use ppds_smc::{ProtocolContext, RecordId};
 pub use session::{

@@ -32,7 +32,7 @@
 use crate::config::ProtocolConfig;
 use crate::driver::PartyOutput;
 use crate::error::CoreError;
-use crate::hdp::{hdp_query, hdp_serve};
+use crate::hdp::{hdp_query_querier_batch, hdp_respond_batch};
 use crate::horizontal::check_points;
 use crate::session::{
     establish, HandshakeProfile, Mode, PeerInfo, Session, SessionLog, SessionMeta, SessionOutcome,
@@ -55,9 +55,8 @@ enum State {
     Cluster(usize),
 }
 
-/// One node's full run of the multi-party horizontal protocol: the shared
-/// implementation behind [`crate::session::Participant::run_mesh`] and the
-/// deprecated free function.
+/// One node's full run of the multi-party horizontal protocol: the
+/// implementation behind [`crate::session::Participant::run_mesh`].
 ///
 /// Randomness: each pairwise exchange draws from
 /// `ctx.narrow("mesh").at(querier_id).at(responder_id)` — keyed by the
@@ -183,7 +182,6 @@ pub(crate) fn run_mesh_node<C: Channel>(
         meta: SessionMeta {
             wire_version: WIRE_VERSION,
             mode: Mode::Multiparty,
-            batching: cfg.batching,
             packing: cfg.packing,
             backend: cfg.backend,
             pruning: cfg.pruning,
@@ -199,28 +197,6 @@ pub(crate) fn run_mesh_node<C: Channel>(
 /// monotone, so span deltas stay well-defined).
 fn mesh_metrics<C: Channel>(peers: &[(usize, C)]) -> MetricsSnapshot {
     peers.iter().map(|(_, chan)| chan.metrics()).sum()
-}
-
-/// One node's full run of the multi-party horizontal protocol.
-///
-/// `peers` holds one channel per other party, tagged with that party's
-/// global id; `my_id` is this node's id in `0..k_parties`. All parties must
-/// agree on ids and use the same `cfg`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant::run_mesh with PartyData::Multiparty"
-)]
-pub fn multiparty_horizontal_party<C: Channel>(
-    peers: &mut [(usize, C)],
-    my_id: usize,
-    k_parties: usize,
-    cfg: &ProtocolConfig,
-    my_points: &[Point],
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    let ctx = ProtocolContext::from_rng(&mut rng);
-    run_mesh_node(peers, my_id, k_parties, cfg, my_points, None, &ctx).map(|outcome| outcome.output)
 }
 
 /// The querier's DBSCAN loop: like the two-party engine, but each core test
@@ -268,12 +244,13 @@ fn query_phase<C: Channel>(
                     chan,
                     &points[idx],
                     w,
+                    session.peer_n,
                     &mut log.leakage,
                     &format!("own#{idx}/peer#{peer_id}"),
                 )?,
                 None => session.peer_n,
             };
-            let count = hdp_query(
+            let count = hdp_query_querier_batch(
                 chan,
                 cfg,
                 &backend,
@@ -383,7 +360,7 @@ fn respond_phase<C: Channel>(
                     None => crate::prune::all_candidates(my_points.len()),
                 };
                 served += 1;
-                hdp_serve(
+                hdp_respond_batch(
                     chan,
                     cfg,
                     &backend,
@@ -403,24 +380,6 @@ fn respond_phase<C: Channel>(
             }
         }
     }
-}
-
-/// Runs all `K` parties of the multi-party horizontal protocol on threads
-/// over an in-memory full mesh; returns one [`PartyOutput`] per party, in
-/// party-id order.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::run_mesh_local (or Participant::run_mesh per node)"
-)]
-pub fn run_multiparty_horizontal(
-    cfg: &ProtocolConfig,
-    party_points: &[Vec<Point>],
-    seed: u64,
-) -> Result<Vec<PartyOutput>, CoreError> {
-    Ok(crate::session::run_mesh_local(cfg, party_points, seed)?
-        .into_iter()
-        .map(|outcome| outcome.output)
-        .collect())
 }
 
 #[cfg(test)]
@@ -474,9 +433,14 @@ mod tests {
         let bob = pts(&[&[0, 1], &[19, 20]]);
         let c = cfg(4, 3, 30);
         let multi = mesh(&c, &[alice.clone(), bob.clone()], 5);
-        #[allow(deprecated)]
-        let (two_a, two_b) =
-            crate::driver::run_horizontal_pair(&c, &alice, &bob, rng(1), rng(2)).unwrap();
+        let (two_a, two_b) = crate::session::run_data_pair(
+            &c,
+            crate::session::PartyData::Horizontal(alice),
+            crate::session::PartyData::Horizontal(bob),
+            rng(1),
+            rng(2),
+        )
+        .unwrap();
         assert_eq!(multi[0].clustering, two_a.clustering);
         assert_eq!(multi[1].clustering, two_b.clustering);
     }

@@ -54,21 +54,33 @@ pub(crate) fn exhaustive_candidates(n: usize, x: usize) -> Vec<usize> {
 }
 
 /// Querier half of the per-query cell exchange: disclose the query's
-/// coarse cell, learn how many peer records survive the band filter.
+/// coarse cell, learn how many peer records survive the band filter. The
+/// candidates are a subset of the peer's `peer_n` records (advertised in
+/// the handshake), so a larger count is a typed [`CoreError::Mismatch`]
+/// before the secure phase sizes anything by it.
 pub(crate) fn query_candidate_count<C: Channel>(
     chan: &mut C,
     query: &Point,
     width: i64,
+    peer_n: usize,
     leakage: &mut LeakageLog,
     label: &str,
 ) -> Result<usize, CoreError> {
     chan.send(&coarse_cell(query.coords(), width))?;
     let count: u64 = chan.recv()?;
+    let count = usize::try_from(count)
+        .ok()
+        .filter(|&c| c <= peer_n)
+        .ok_or_else(|| {
+            CoreError::mismatch(format!(
+                "peer reported {count} pruning candidates but holds {peer_n} records"
+            ))
+        })?;
     leakage.record(LeakageEvent::PruningCandidateCount {
         query: label.to_string(),
-        count,
+        count: count as u64,
     });
-    Ok(count as usize)
+    Ok(count)
 }
 
 /// Responder half of the per-query cell exchange: learn the peer query's
@@ -230,6 +242,31 @@ mod tests {
         assert_eq!(oracle.candidates_of(0), vec![1, 2]);
         assert_eq!(oracle.candidates_of(2), vec![0, 1]);
         assert_eq!(oracle.candidates_of(3), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn candidate_count_beyond_the_peer_record_count_is_a_typed_error() {
+        let query = Point::new(vec![3, -2]);
+        let w = band_width(4, 1);
+        let peer_n = 5usize;
+        for (forged, accepted) in [(5u64, true), (6, false), (u64::MAX, false)] {
+            let (mut querier, mut responder) = ppds_transport::duplex();
+            responder.send(&forged).unwrap();
+            let mut leakage = LeakageLog::new();
+            let got = query_candidate_count(&mut querier, &query, w, peer_n, &mut leakage, "q");
+            let cell: Vec<i64> = responder.recv().unwrap();
+            assert_eq!(cell, coarse_cell(query.coords(), w));
+            if accepted {
+                assert_eq!(got.unwrap(), peer_n);
+                assert_eq!(leakage.count_kind("pruning_candidates"), 1);
+            } else {
+                assert!(
+                    matches!(got, Err(CoreError::Mismatch(_))),
+                    "count {forged}: {got:?}"
+                );
+                assert!(leakage.is_empty(), "rejected counts are not ledgered");
+            }
+        }
     }
 
     #[test]

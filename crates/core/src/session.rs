@@ -23,10 +23,6 @@
 //!    routes through, so validation, handshake, and output assembly live in
 //!    one place instead of five driver modules.
 //!
-//! The legacy free functions still exist as thin `#[deprecated]` wrappers
-//! over this module and produce byte-identical outputs (labels, leakage,
-//! Yao ledger, traffic) — pinned by the `api_parity` integration tests.
-//!
 //! ```
 //! use ppdbscan::session::{Participant, PartyData};
 //! use ppdbscan::ProtocolConfig;
@@ -81,8 +77,9 @@ use std::sync::Arc;
 /// substrate) and, when sharing is negotiated, a dealer-seed contribution
 /// exchange immediately after the `Hello` frames; `5` adds the required
 /// `pruning` field (candidate-generation policy: exhaustive all-pairs vs
-/// grid-derived candidate sets).
-pub const WIRE_VERSION: u32 = 5;
+/// grid-derived candidate sets); `6` drops the `batching` field (round
+/// batching is the only framing, so there is nothing to negotiate).
+pub const WIRE_VERSION: u32 = 6;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,7 +156,7 @@ const F_KEY_BITS: u8 = 7;
 const F_COMPARATOR: u8 = 8;
 const F_SELECTION: u8 = 9;
 const F_MASK_BITS: u8 = 10;
-const F_BATCHING: u8 = 11;
+// Tag 11 carried the `batching` knob up to wire v5; it stays retired.
 const F_PACKING: u8 = 12;
 /// Optional session-id field (server deployments): a client *proposes* an
 /// id in its preamble `Hello` (0 or absent = "assign me one") and the
@@ -172,7 +169,7 @@ const F_PRUNING: u8 = 15;
 
 /// Fields that must be byte-equal between the two halves (record count and
 /// dimension are informational / mode-dependent and checked separately).
-const AGREED_FIELDS: [(u8, &str); 12] = [
+const AGREED_FIELDS: [(u8, &str); 11] = [
     (F_MODE, "mode"),
     (F_COORD_BOUND, "coord_bound"),
     (F_EPS_SQ, "eps_sq"),
@@ -181,7 +178,6 @@ const AGREED_FIELDS: [(u8, &str); 12] = [
     (F_COMPARATOR, "comparator"),
     (F_SELECTION, "selection"),
     (F_MASK_BITS, "mask_bits"),
-    (F_BATCHING, "batching"),
     (F_PACKING, "packing"),
     (F_BACKEND, "backend"),
     (F_PRUNING, "pruning"),
@@ -238,7 +234,6 @@ impl Hello {
                 (F_COMPARATOR, comparator_tag(cfg.comparator)),
                 (F_SELECTION, selection_tag(cfg.selection)),
                 (F_MASK_BITS, cfg.mask_bits as u64),
-                (F_BATCHING, cfg.batching as u64),
                 (F_PACKING, cfg.packing as u64),
                 (F_BACKEND, u64::from(cfg.backend.tag())),
                 (F_PRUNING, cfg.pruning.tag()),
@@ -292,11 +287,6 @@ impl Hello {
     /// The attribute count the sender advertised (0 = no points).
     pub fn dim(&self) -> Option<u64> {
         self.field(F_DIM)
-    }
-
-    /// Whether the sender wants round batching, if advertised.
-    pub fn batching(&self) -> Option<bool> {
-        self.field(F_BATCHING).map(|v| v != 0)
     }
 
     /// Whether the sender wants plaintext-slot packing, if advertised.
@@ -554,7 +544,7 @@ pub(crate) struct ModeContext<'a> {
 
 /// The shared dispatch every protocol family implements: local validation,
 /// handshake profile, post-handshake cross-checks, and the protocol body.
-/// `run_two_party` sequences these so the config/batching plumbing lives in
+/// `run_two_party` sequences these so the config plumbing lives in
 /// exactly one place.
 pub(crate) trait ModeDriver {
     /// Local-only validation before anything crosses the wire.
@@ -628,23 +618,8 @@ fn attach_pools(
 /// Runs one two-party mode end to end on this side of `chan`: validate,
 /// establish (generating a keypair from the context's `"keygen"` substream
 /// unless one is supplied), cross-check, execute, assemble the outcome.
+/// `pools` opts into randomizer precomputation (see [`PoolSetup`]).
 pub(crate) fn run_two_party<C, D>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    driver: &D,
-    role: Party,
-    keypair: Option<Keypair>,
-    ctx: &ProtocolContext,
-) -> Result<SessionOutcome, CoreError>
-where
-    C: Channel,
-    D: ModeDriver,
-{
-    run_two_party_pooled(chan, cfg, driver, role, keypair, ctx, None)
-}
-
-/// [`run_two_party`] with optional randomizer-pool precomputation.
-pub(crate) fn run_two_party_pooled<C, D>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     driver: &D,
@@ -657,6 +632,7 @@ where
     C: Channel,
     D: ModeDriver,
 {
+    cfg.check_framing()?;
     driver.validate(cfg)?;
     let keygen_span = trace::span("keygen", || chan.metrics());
     let keypair = match keypair {
@@ -694,7 +670,6 @@ where
         meta: SessionMeta {
             wire_version: WIRE_VERSION,
             mode,
-            batching: cfg.batching,
             packing: cfg.packing,
             backend: cfg.backend,
             pruning: cfg.pruning,
@@ -714,7 +689,7 @@ where
 
 /// One party's private view of the session data — the mode selector of the
 /// [`Participant`] API. The variant picks the protocol family; the payload
-/// is exactly what that family's legacy driver took.
+/// is exactly what that family's driver takes.
 #[derive(Debug, Clone)]
 pub enum PartyData {
     /// Complete records, basic horizontal protocol (Algorithms 3 & 4).
@@ -778,8 +753,6 @@ pub struct SessionMeta {
     pub wire_version: u32,
     /// The negotiated protocol family.
     pub mode: Mode,
-    /// Whether round batching was active (both sides must agree).
-    pub batching: bool,
     /// Whether plaintext-slot packing was active (both sides must agree).
     pub packing: bool,
     /// The negotiated SMC substrate (both sides must agree).
@@ -796,7 +769,7 @@ pub struct SessionMeta {
 #[derive(Debug)]
 pub struct SessionOutcome {
     /// The clustering, leakage log, traffic, and Yao ledger this party
-    /// takes away — identical to what the legacy drivers returned.
+    /// takes away.
     pub output: PartyOutput,
     /// Negotiated session metadata.
     pub meta: SessionMeta,
@@ -931,9 +904,9 @@ impl Participant {
     /// Seeds the session's deterministic randomness. The seed becomes the
     /// root of a [`ProtocolContext`] derivation tree (session seed → mode
     /// → protocol step → query instance → record), so every draw site owns
-    /// a keyed substream that is independent of execution order — batched,
-    /// unbatched, and parallel evaluations of the same session draw
-    /// byte-identical randomness. Equivalent to
+    /// a keyed substream that is independent of execution order — serial
+    /// and parallel evaluations of the same session draw byte-identical
+    /// randomness. Equivalent to
     /// `rng(StdRng::seed_from_u64(seed))`.
     pub fn seed(self, seed: u64) -> Self {
         self.rng(StdRng::seed_from_u64(seed))
@@ -941,10 +914,8 @@ impl Participant {
 
     /// Supplies the session randomness as a generator: one `next_u64` draw
     /// becomes the context root seed (see [`Participant::seed`]). Kept so
-    /// `StdRng`-valued call sites (the legacy drivers, the bench harness)
-    /// stay source-compatible; legacy and typed entry points derive the
-    /// same context from the same generator, so their outputs remain
-    /// byte-identical (pinned by `tests/api_parity.rs`).
+    /// `StdRng`-valued call sites (the bench harness, [`run_data_pair`])
+    /// stay source-compatible.
     pub fn rng(mut self, mut rng: StdRng) -> Self {
         self.ctx = Some(ProtocolContext::from_rng(&mut rng));
         self
@@ -983,7 +954,7 @@ impl Participant {
             .clone()
             .map(|rec| trace::install(rec as Arc<dyn TraceSink>));
         let result = match &data {
-            PartyData::Horizontal(points) => run_two_party_pooled(
+            PartyData::Horizontal(points) => run_two_party(
                 chan,
                 &cfg,
                 &crate::horizontal::HorizontalDriver { points },
@@ -992,7 +963,7 @@ impl Participant {
                 &ctx,
                 self.pools,
             ),
-            PartyData::Enhanced(points) => run_two_party_pooled(
+            PartyData::Enhanced(points) => run_two_party(
                 chan,
                 &cfg,
                 &crate::enhanced::EnhancedDriver { points },
@@ -1001,7 +972,7 @@ impl Participant {
                 &ctx,
                 self.pools,
             ),
-            PartyData::Vertical(attrs) => run_two_party_pooled(
+            PartyData::Vertical(attrs) => run_two_party(
                 chan,
                 &cfg,
                 &crate::vertical::VerticalDriver { attrs },
@@ -1010,7 +981,7 @@ impl Participant {
                 &ctx,
                 self.pools,
             ),
-            PartyData::Arbitrary(values) => run_two_party_pooled(
+            PartyData::Arbitrary(values) => run_two_party(
                 chan,
                 &cfg,
                 &crate::arbitrary::ArbitraryDriver { values },
@@ -1078,7 +1049,7 @@ impl Participant {
 ///
 /// The participants must be two halves of the same two-party session —
 /// complementary roles, compatible data. This is the in-process conductor
-/// the deprecated `run_*_pair` helpers and the engine's
+/// [`run_data_pair`] and the engine's
 /// [`crate::driver::run_session`] are built on; for a real deployment, run
 /// each [`Participant`] in its own process over a
 /// [`ppds_transport::tcp::TcpChannel`].
@@ -1094,8 +1065,8 @@ pub fn run_participants(
 
 /// [`run_participants`] for the common case: Alice's and Bob's data views
 /// with explicit RNG streams, returning the bare [`PartyOutput`]s. This is
-/// the one shared implementation behind the deprecated `run_*_pair`
-/// wrappers, the bench harness, and the integration-test helpers.
+/// the one shared implementation behind the bench harness and the
+/// integration-test helpers.
 pub fn run_data_pair(
     cfg: &ProtocolConfig,
     alice: PartyData,
@@ -1116,7 +1087,7 @@ pub fn run_data_pair(
 /// Runs all `k` parties of a multiparty session on threads over an
 /// in-memory full mesh; returns one [`SessionOutcome`] per party in
 /// party-id order. Each node's RNG stream derives from
-/// `seed + party_id`, matching the legacy conductor seed-for-seed.
+/// `seed + party_id`.
 pub fn run_mesh_local(
     cfg: &ProtocolConfig,
     party_points: &[Vec<Point>],
@@ -1206,7 +1177,6 @@ mod tests {
         assert_eq!(back.mode(), Some(Mode::Vertical));
         assert_eq!(back.records(), Some(5));
         assert_eq!(back.dim(), Some(2));
-        assert_eq!(back.batching(), Some(false));
         assert_eq!(back.packing(), Some(false));
         assert_eq!(back.backend(), Some(BackendKind::Paillier));
         assert_eq!(back.pruning(), Some(Pruning::Exhaustive));
@@ -1322,12 +1292,6 @@ mod tests {
                 assert_eq!(field, "eps_sq");
                 assert_eq!((ours, theirs), (4, 9));
             }
-            other => panic!("wanted HandshakeMismatch, got {other:?}"),
-        }
-
-        let theirs = Hello::for_session(&cfg().with_batching(true), Mode::Horizontal, 3, 2);
-        match mine.check_compatible(&theirs, true).unwrap_err() {
-            CoreError::HandshakeMismatch { field, .. } => assert_eq!(field, "batching"),
             other => panic!("wanted HandshakeMismatch, got {other:?}"),
         }
 

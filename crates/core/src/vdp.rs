@@ -24,136 +24,18 @@ pub fn local_delta_sq(x: &ppds_dbscan::Point, y: &ppds_dbscan::Point) -> u64 {
     ppds_dbscan::dist_sq(x, y)
 }
 
-/// Alice's side of one VDP comparison. `alpha` is her local squared-delta
-/// sum; `total_dim` is the full record dimension `m` (needed to agree on
-/// the comparison domain); `ctx` is this comparison's record scope
-/// (`step_ctx.at(record)`). Returns `dist² ≤ Eps²`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_alice<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    alpha: u64,
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    let domain = vdp_domain(cfg, total_dim);
-    ledger.record(cfg.key_bits, domain.n0());
-    backend.compare(
-        chan,
-        Party::Alice,
-        i64::try_from(alpha).expect("α fits i64 on a validated lattice"),
-        CmpOp::Leq,
-        &domain,
-        ctx,
-        acct,
-    )
-}
-
-/// Bob's side: `beta` is his local squared-delta sum.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    beta: u64,
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    let domain = vdp_domain(cfg, total_dim);
-    ledger.record(cfg.key_bits, domain.n0());
-    let j_val = cfg.params.eps_sq as i64 - i64::try_from(beta).expect("β fits i64");
-    backend.compare(chan, Party::Bob, j_val, CmpOp::Leq, &domain, ctx, acct)
-}
-
-/// One VDP decision per entry of `alphas` (Alice's local squared-delta
-/// sums for a whole candidate set), dispatched on `cfg.batching`: batched
-/// mode packs the set into a constant number of wire rounds, reference
-/// mode runs one [`vdp_compare_alice`] ping-pong per entry. Outcomes are
-/// identical either way. `records` carries one stable record id per entry
-/// — the per-comparison context path is keyed by id, not position, so a
-/// pruned (sparse) candidate set draws the same randomness for record `y`
-/// as the exhaustive set does (both parties walk identical paths as long
-/// as they enumerate the same candidates in the same order).
+/// Alice's side of the VDP decisions for a whole candidate set: one
+/// `dist² ≤ Eps²` bit per entry of `alphas` (her local squared-delta sums,
+/// in candidate order), all packed into a constant number of wire rounds;
+/// a single pair is the one-entry set. `total_dim` is the full record
+/// dimension `m` (needed to agree on the comparison domain).
+///
+/// `ctx` is the region query's context. Entry `i`'s comparison randomness
+/// is item `i` of the comparison batch under `ctx` (`ctx.rng_for(i)`):
+/// keyed by its position in the candidate set, which both parties
+/// enumerate identically.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn vdp_compare_set_alice<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    alphas: &[u64],
-    records: &[u64],
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    debug_assert_eq!(alphas.len(), records.len(), "one record id per entry");
-    if cfg.batching {
-        return vdp_compare_batch_alice(chan, cfg, backend, alphas, total_dim, ctx, ledger, acct);
-    }
-    alphas
-        .iter()
-        .zip(records)
-        .map(|(&alpha, &record)| {
-            vdp_compare_alice(
-                chan,
-                cfg,
-                backend,
-                alpha,
-                total_dim,
-                &ctx.at(record),
-                ledger,
-                acct,
-            )
-        })
-        .collect()
-}
-
-/// Bob's side of [`vdp_compare_set_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_set_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    betas: &[u64],
-    records: &[u64],
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    debug_assert_eq!(betas.len(), records.len(), "one record id per entry");
-    if cfg.batching {
-        return vdp_compare_batch_bob(chan, cfg, backend, betas, total_dim, ctx, ledger, acct);
-    }
-    betas
-        .iter()
-        .zip(records)
-        .map(|(&beta, &record)| {
-            vdp_compare_bob(
-                chan,
-                cfg,
-                backend,
-                beta,
-                total_dim,
-                &ctx.at(record),
-                ledger,
-                acct,
-            )
-        })
-        .collect()
-}
-
-/// Round-batched Alice side: one VDP decision per entry of `alphas` (her
-/// local squared-delta sums for a whole candidate set), all packed into a
-/// constant number of wire rounds. Outcome `r[i]` equals what
-/// [`vdp_compare_alice`] would return for `alphas[i]`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_batch_alice<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
@@ -174,10 +56,10 @@ pub fn vdp_compare_batch_alice<C: Channel, B: SmcBackend>(
     backend.compare_batch(chan, Party::Alice, &values, CmpOp::Leq, &domain, ctx, acct)
 }
 
-/// Round-batched Bob side of [`vdp_compare_batch_alice`]; `betas` are his
-/// local squared-delta sums for the same candidate set, in the same order.
+/// Bob's side of [`vdp_compare_set_alice`]; `betas` are his local
+/// squared-delta sums for the same candidate set, in the same order.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_batch_bob<C: Channel, B: SmcBackend>(
+pub fn vdp_compare_set_bob<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
@@ -206,6 +88,7 @@ mod tests {
     use ppds_dbscan::{dist_sq, DbscanParams, Point};
     use ppds_paillier::Keypair;
     use ppds_smc::compare::Comparator;
+    use ppds_smc::{DealerTape, SharingBackend};
     use ppds_transport::duplex;
     use std::sync::OnceLock;
 
@@ -219,75 +102,100 @@ mod tests {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(34)))
     }
 
-    fn run(cfg: ProtocolConfig, alpha: u64, beta: u64, dim: usize) -> bool {
+    /// Runs one candidate set on two threads (Paillier backend unless
+    /// `sharing`); returns the agreed verdicts, Alice's ledgers and
+    /// metrics.
+    fn run_set(
+        cfg: ProtocolConfig,
+        alphas: Vec<u64>,
+        betas: Vec<u64>,
+        dim: usize,
+        sharing: bool,
+    ) -> (
+        Vec<bool>,
+        YaoLedger,
+        SharingLedger,
+        ppds_transport::MetricsSnapshot,
+    ) {
+        let shared = SharingBackend {
+            tape: DealerTape::from_seed(77),
+            dot_mask_bound: 1 << 20,
+        };
         let (mut achan, mut bchan) = duplex();
         let a = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim);
             let mut ledger = YaoLedger::default();
             let mut acct = SharingLedger::default();
-            vdp_compare_alice(
-                &mut achan,
+            let out = if sharing {
+                vdp_compare_set_alice(
+                    &mut achan,
+                    &cfg,
+                    &shared,
+                    &alphas,
+                    dim,
+                    &ctx(3),
+                    &mut ledger,
+                    &mut acct,
+                )
+            } else {
+                let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim);
+                vdp_compare_set_alice(
+                    &mut achan,
+                    &cfg,
+                    &backend,
+                    &alphas,
+                    dim,
+                    &ctx(3),
+                    &mut ledger,
+                    &mut acct,
+                )
+            }
+            .unwrap();
+            (out, ledger, acct, achan.metrics())
+        });
+        let mut ledger = YaoLedger::default();
+        let mut acct = SharingLedger::default();
+        let bob = if sharing {
+            vdp_compare_set_bob(
+                &mut bchan,
                 &cfg,
-                &backend,
-                alpha,
+                &shared,
+                &betas,
                 dim,
-                &ctx(1),
+                &ctx(4),
                 &mut ledger,
                 &mut acct,
             )
-            .unwrap()
-        });
-        let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let bob = vdp_compare_bob(
-            &mut bchan,
-            &cfg,
-            &backend,
-            beta,
-            dim,
-            &ctx(2),
-            &mut ledger,
-            &mut acct,
-        )
-        .unwrap();
-        let alice = a.join().unwrap();
-        assert_eq!(alice, bob);
-        alice
-    }
-
-    #[test]
-    fn decides_exactly_alpha_plus_beta_vs_eps() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 10,
-                min_pts: 2,
-            },
-            3,
-        );
-        for (alpha, beta) in [
-            (0u64, 0u64),
-            (5, 5),
-            (5, 6),
-            (10, 0),
-            (0, 10),
-            (11, 0),
-            (3, 4),
-        ] {
-            let expect = alpha + beta <= 10;
-            assert_eq!(run(cfg, alpha, beta, 2), expect, "α={alpha} β={beta}");
+        } else {
+            let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim);
+            vdp_compare_set_bob(
+                &mut bchan,
+                &cfg,
+                &backend,
+                &betas,
+                dim,
+                &ctx(4),
+                &mut ledger,
+                &mut acct,
+            )
         }
+        .unwrap();
+        let (alice, a_ledger, a_acct, metrics) = a.join().unwrap();
+        assert_eq!(alice, bob);
+        (alice, a_ledger, a_acct, metrics)
     }
 
-    #[test]
-    fn batch_matches_singles_in_three_rounds() {
-        let cfg = ProtocolConfig::new(
+    fn cfg10() -> ProtocolConfig {
+        ProtocolConfig::new(
             DbscanParams {
                 eps_sq: 10,
                 min_pts: 2,
             },
             3,
-        );
+        )
+    }
+
+    #[test]
+    fn decides_exactly_alpha_plus_beta_vs_eps_in_three_rounds() {
         let alphas: Vec<u64> = vec![0, 5, 5, 10, 0, 11, 3];
         let betas: Vec<u64> = vec![0, 5, 6, 0, 10, 0, 4];
         let expect: Vec<bool> = alphas
@@ -295,42 +203,8 @@ mod tests {
             .zip(&betas)
             .map(|(&a, &b)| a + b <= 10)
             .collect();
-        let (mut achan, mut bchan) = duplex();
-        let alphas2 = alphas.clone();
-        let a = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, 2);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let out = vdp_compare_batch_alice(
-                &mut achan,
-                &cfg,
-                &backend,
-                &alphas2,
-                2,
-                &ctx(3),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap();
-            (out, ledger, achan.metrics())
-        });
-        let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, 2);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let bob = vdp_compare_batch_bob(
-            &mut bchan,
-            &cfg,
-            &backend,
-            &betas,
-            2,
-            &ctx(4),
-            &mut ledger,
-            &mut acct,
-        )
-        .unwrap();
-        let (alice, a_ledger, metrics) = a.join().unwrap();
-        assert_eq!(alice, expect);
-        assert_eq!(bob, expect);
+        let (out, a_ledger, _, metrics) = run_set(cfg10(), alphas.clone(), betas, 2, false);
+        assert_eq!(out, expect);
         assert_eq!(a_ledger.comparisons, alphas.len() as u64);
         assert_eq!(metrics.total_rounds(), 3, "one Ideal exchange for all 7");
     }
@@ -356,20 +230,15 @@ mod tests {
             &Point::new(full_y.coords()[2..].to_vec()),
         );
         let expect = dist_sq(&full_x, &full_y) <= 9;
-        assert_eq!(run(cfg, alpha, beta, 4), expect);
+        assert_eq!(
+            run_set(cfg, vec![alpha], vec![beta], 4, false).0,
+            vec![expect]
+        );
         assert!(matches!(cfg.comparator, Comparator::Yao));
     }
 
     #[test]
     fn sharing_backend_matches_plain_comparisons() {
-        use ppds_smc::{DealerTape, SharingBackend};
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 10,
-                min_pts: 2,
-            },
-            3,
-        );
         let alphas: Vec<u64> = vec![0, 5, 5, 10, 0, 11, 3];
         let betas: Vec<u64> = vec![0, 5, 6, 0, 10, 0, 4];
         let expect: Vec<bool> = alphas
@@ -377,56 +246,12 @@ mod tests {
             .zip(&betas)
             .map(|(&a, &b)| a + b <= 10)
             .collect();
-        let records: Vec<u64> = (0..alphas.len() as u64).collect();
-        for batching in [false, true] {
-            let run_cfg = cfg.with_batching(batching);
-            let mk = move || SharingBackend {
-                tape: DealerTape::from_seed(77),
-                batching,
-                dot_mask_bound: 1 << 20,
-            };
-            let (mut achan, mut bchan) = duplex();
-            let alphas2 = alphas.clone();
-            let records2 = records.clone();
-            let a = std::thread::spawn(move || {
-                let mut ledger = YaoLedger::default();
-                let mut acct = SharingLedger::default();
-                let out = vdp_compare_set_alice(
-                    &mut achan,
-                    &run_cfg,
-                    &mk(),
-                    &alphas2,
-                    &records2,
-                    2,
-                    &ctx(3),
-                    &mut ledger,
-                    &mut acct,
-                )
-                .unwrap();
-                (out, acct)
-            });
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let bob = vdp_compare_set_bob(
-                &mut bchan,
-                &run_cfg,
-                &mk(),
-                &betas,
-                &records,
-                2,
-                &ctx(4),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap();
-            let (alice, a_acct) = a.join().unwrap();
-            assert_eq!(alice, expect, "batching={batching}");
-            assert_eq!(bob, expect, "batching={batching}");
-            assert_eq!(a_acct.compares, alphas.len() as u64);
-            assert!(
-                a_acct.bit_triples > 0,
-                "shared-bit compares consume triples"
-            );
-        }
+        let (out, _, a_acct, _) = run_set(cfg10(), alphas.clone(), betas, 2, true);
+        assert_eq!(out, expect);
+        assert_eq!(a_acct.compares, alphas.len() as u64);
+        assert!(
+            a_acct.bit_triples > 0,
+            "shared-bit compares consume triples"
+        );
     }
 }

@@ -13,11 +13,8 @@
 //! [`crate::session::Participant`] builder is the supported entry point.
 
 use crate::config::ProtocolConfig;
-use crate::driver::PartyOutput;
 use crate::error::CoreError;
-use crate::session::{
-    run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
-};
+use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use crate::vdp::{local_delta_sq, vdp_compare_set_alice, vdp_compare_set_bob};
 use ppds_dbscan::{Clustering, DbscanParams, Label, Point};
 use ppds_observe::trace;
@@ -34,9 +31,8 @@ enum State {
 
 /// The shared lockstep DBSCAN engine: Algorithm 5/6 where every region
 /// query hands its candidate set to one oracle call, which returns one
-/// joint `dist² ≤ Eps²` bit per candidate. A batching driver answers the
-/// whole set in O(1) wire rounds; an unbatched driver loops one comparison
-/// per candidate inside the oracle. `candidates_for` supplies each query's
+/// joint `dist² ≤ Eps²` bit per candidate, answering the whole set in O(1)
+/// wire rounds. `candidates_for` supplies each query's
 /// candidate partners in ascending order, excluding the query record
 /// itself — the exhaustive all-pairs set or a pruned (band-intersecting)
 /// subset; both parties must derive the identical sequence, which they do
@@ -185,9 +181,10 @@ impl ModeDriver for VerticalDriver<'_> {
         let pruned = vertical_band_oracle(chan, cfg, mctx.role, attrs, &mut log.leakage)?;
         let ledger = &mut log.ledger;
         let sharing = &mut log.sharing;
-        // One context instance per region query; candidate `y` of query q
-        // draws from region.at(q).at(y) in both framings, so pruned
-        // (sparse) and exhaustive candidate sets key identically.
+        // One context instance per region query; the candidate at position
+        // i of query q's set draws its comparison randomness from
+        // region.at(q).rng_for(i). Both parties enumerate the same
+        // candidates in the same order, so their paths agree.
         let region_ctx = ctx.narrow("region");
         let mut q = 0u64;
         let dist_leq_set = |x: usize, ys: &[usize]| -> Result<Vec<bool>, CoreError> {
@@ -198,13 +195,12 @@ impl ModeDriver for VerticalDriver<'_> {
                 .iter()
                 .map(|&y| local_delta_sq(&attrs[x], &attrs[y]))
                 .collect();
-            let records: Vec<u64> = ys.iter().map(|&y| y as u64).collect();
             let result = match mctx.role {
                 Party::Alice => vdp_compare_set_alice(
-                    chan, cfg, &backend, &locals, &records, total_dim, &qctx, ledger, sharing,
+                    chan, cfg, &backend, &locals, total_dim, &qctx, ledger, sharing,
                 )?,
                 Party::Bob => vdp_compare_set_bob(
-                    chan, cfg, &backend, &locals, &records, total_dim, &qctx, ledger, sharing,
+                    chan, cfg, &backend, &locals, total_dim, &qctx, ledger, sharing,
                 )?,
             };
             span.end(|| chan.metrics());
@@ -270,39 +266,12 @@ fn vertical_band_oracle<C: Channel>(
     Ok(Some(crate::prune::BandCandidates::new(joined, width)))
 }
 
-/// One party's full run of the vertical protocol. `my_attrs` holds this
-/// party's attribute slice of each record (all records, same order on both
-/// sides). Returns the joint clustering of all records.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant with PartyData::Vertical"
-)]
-pub fn vertical_party<C: Channel>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    my_attrs: &[Point],
-    role: Party,
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    run_two_party(
-        chan,
-        cfg,
-        &VerticalDriver { attrs: my_attrs },
-        role,
-        None,
-        &ProtocolContext::from_rng(&mut rng),
-    )
-    .map(|outcome| outcome.output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::driver::run_vertical_pair;
+    use crate::driver::PartyOutput;
     use crate::partition::VerticalPartition;
-    use crate::session::{Participant, PartyData};
+    use crate::session::{run_data_pair, Participant, PartyData};
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan, eval};
 
@@ -314,14 +283,20 @@ mod tests {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, bound)
     }
 
-    #[allow(deprecated)]
     fn vertical(
         c: &ProtocolConfig,
         part: &VerticalPartition,
         sa: u64,
         sb: u64,
     ) -> (PartyOutput, PartyOutput) {
-        run_vertical_pair(c, part, rng(sa), rng(sb)).unwrap()
+        run_data_pair(
+            c,
+            PartyData::Vertical(part.alice.clone()),
+            PartyData::Vertical(part.bob.clone()),
+            rng(sa),
+            rng(sb),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -38,16 +38,6 @@ impl ClusteringJob {
         ClusteringJob { cfg, request, seed }
     }
 
-    /// Returns the job with round batching switched on or off (see
-    /// [`ProtocolConfig::with_batching`]): one wire frame per neighborhood
-    /// batch instead of one round-trip per comparison, with outputs and
-    /// leakage identical under the same seed. The WAN-facing default for
-    /// engine tenants; `false` reproduces the paper's ping-pong framing.
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.cfg = self.cfg.with_batching(batching);
-        self
-    }
-
     /// Returns the job with plaintext-slot packing switched on or off (see
     /// [`ProtocolConfig::with_packing`]): ciphertext-heavy response legs
     /// ride packed Paillier words, cutting response bytes and keyholder

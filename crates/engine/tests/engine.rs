@@ -189,35 +189,33 @@ fn engine_matches_direct_drivers() {
 }
 
 #[test]
-fn batched_jobs_match_unbatched_with_fewer_rounds() {
-    // The engine-facing batching knob: same descriptor, same seed, one job
-    // batched — labels and leakage identical, wire rounds collapse.
+fn job_rounds_collapse_and_roll_up() {
+    // Round batching is the only framing: every region query ships its
+    // candidate set in O(1) wire rounds, far below the per-comparison
+    // logical messages, and rollups aggregate rounds like every other
+    // counter.
     let engine = Engine::start(EngineConfig::with_workers(2));
-    let make = || {
+    let make = |seed| {
         ClusteringJob::new(
             cfg(8, 2, 10),
             SessionRequest::Vertical(VerticalPartition::split(&random_points(10, 10, 555), 1)),
-            42,
+            seed,
         )
     };
-    let plain = engine.wait(engine.submit(make()));
-    let batched = engine.wait(engine.submit(make().with_batching(true)));
-    for (p, b) in plain.outputs().iter().zip(batched.outputs()) {
-        assert_eq!(p.clustering, b.clustering);
-        assert_eq!(p.leakage, b.leakage);
-        assert_eq!(p.yao, b.yao);
+    let first = engine.wait(engine.submit(make(42)));
+    let second = engine.wait(engine.submit(make(43)));
+    for out in first.outputs() {
         assert!(
-            p.traffic.total_rounds() as f64 >= 5.0 * b.traffic.total_rounds() as f64,
-            "rounds {} vs {}",
-            p.traffic.total_rounds(),
-            b.traffic.total_rounds()
+            out.traffic.total_messages() as f64 >= 5.0 * out.traffic.total_rounds() as f64,
+            "messages {} vs rounds {}",
+            out.traffic.total_messages(),
+            out.traffic.total_rounds()
         );
     }
-    // Rollups aggregate rounds like every other counter.
     let report = engine.shutdown();
     assert_eq!(
         report.traffic.total_rounds(),
-        plain.traffic.total_rounds() + batched.traffic.total_rounds()
+        first.traffic.total_rounds() + second.traffic.total_rounds()
     );
 }
 
@@ -233,7 +231,6 @@ fn packed_jobs_match_unpacked_with_fewer_bytes() {
             SessionRequest::Vertical(VerticalPartition::split(&random_points(10, 10, 556), 1)),
             43,
         )
-        .with_batching(true)
     };
     let plain = engine.wait(engine.submit(make()));
     let packed = engine.wait(engine.submit(make().with_packing(true)));

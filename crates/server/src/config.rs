@@ -11,7 +11,7 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct HostedMode {
     /// The server's protocol configuration for this mode. The negotiable
-    /// knobs (`batching`, `packing`) are adopted from each client's
+    /// knobs (`packing`, `pruning`) are adopted from each client's
     /// preamble; everything else must match or the connection is rejected
     /// with a typed [`crate::proto::ServerReply::Incompatible`].
     pub cfg: ProtocolConfig,

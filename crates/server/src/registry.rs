@@ -45,8 +45,6 @@ pub struct SessionInfo {
     pub peer: String,
     /// Current lifecycle state.
     pub state: SessionState,
-    /// Whether round batching was adopted for this session.
-    pub batching: bool,
     /// Whether plaintext-slot packing was adopted for this session.
     pub packing: bool,
 }
@@ -84,14 +82,7 @@ impl SessionRegistry {
     /// Registers a new session in [`SessionState::Queued`] and returns the
     /// granted id: `proposed` when nonzero and unused, the next free id
     /// otherwise.
-    pub fn admit(
-        &self,
-        proposed: u64,
-        mode: Mode,
-        peer: String,
-        batching: bool,
-        packing: bool,
-    ) -> u64 {
+    pub fn admit(&self, proposed: u64, mode: Mode, peer: String, packing: bool) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let id = if proposed != 0 && !inner.entries.contains_key(&proposed) {
             proposed
@@ -110,7 +101,6 @@ impl SessionRegistry {
                     mode,
                     peer,
                     state: SessionState::Queued,
-                    batching,
                     packing,
                 },
                 trace: None,
@@ -192,7 +182,7 @@ mod tests {
     use super::*;
 
     fn admit(reg: &SessionRegistry, proposed: u64) -> u64 {
-        reg.admit(proposed, Mode::Horizontal, "test".into(), false, false)
+        reg.admit(proposed, Mode::Horizontal, "test".into(), false)
     }
 
     #[test]

@@ -397,7 +397,6 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
             .inc();
         let scfg = host
             .cfg
-            .with_batching(hello.batching().unwrap_or(host.cfg.batching))
             .with_packing(hello.packing().unwrap_or(host.cfg.packing))
             .with_pruning(hello.pruning().unwrap_or(host.cfg.pruning));
         let (n, dim) = host.data.shape();
@@ -439,13 +438,9 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
         );
         return;
     }
-    let sid = shared.registry.admit(
-        hello.session_id().unwrap_or(0),
-        mode,
-        peer,
-        scfg.batching,
-        scfg.packing,
-    );
+    let sid = shared
+        .registry
+        .admit(hello.session_id().unwrap_or(0), mode, peer, scfg.packing);
     // Count before replying: a client that has read `Accept` must already
     // be visible in the gauges a concurrent scrape reads.
     shared.metrics.counter("server_sessions_accepted").inc();

@@ -22,24 +22,21 @@
 //! dispatches (a CI grep guard keeps it that way).
 
 use crate::compare::{
-    compare_alice, compare_batch_alice, compare_batch_bob, compare_bob, share_less_than_alice,
-    share_less_than_batch_alice, share_less_than_batch_bob, share_less_than_bob, CmpOp, Comparator,
-    ComparisonDomain,
+    compare_batch_alice, compare_batch_bob, share_less_than_batch_alice, share_less_than_batch_bob,
+    CmpOp, Comparator, ComparisonDomain,
 };
 use crate::context::{ProtocolContext, RecordId};
 use crate::error::SmcError;
 use crate::leakage::Party;
 use crate::multiplication::{
-    dot_many_keyholder, dot_many_peer, mul_batch_keyholder, mul_batch_peer, mul_batches_keyholder,
-    mul_batches_peer, zero_sum_masks, ResponsePacking,
+    dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
+    ResponsePacking,
 };
 use crate::sharing::{
-    sample_mask_i64, sharing_compare_alice, sharing_compare_batch_alice, sharing_compare_batch_bob,
-    sharing_compare_bob, sharing_dot_querier, sharing_dot_responder, sharing_fold_keyholder_batch,
-    sharing_fold_keyholder_one, sharing_fold_peer_batch, sharing_fold_peer_one,
-    sharing_share_less_than_alice, sharing_share_less_than_batch_alice,
-    sharing_share_less_than_batch_bob, sharing_share_less_than_bob, DealerTape, Fe, SharingLedger,
-    MAX_SHARING_MASK,
+    sample_mask_i64, sharing_compare_batch_alice, sharing_compare_batch_bob, sharing_dot_querier,
+    sharing_dot_responder, sharing_fold_keyholder_batch, sharing_fold_peer_batch,
+    sharing_share_less_than_batch_alice, sharing_share_less_than_batch_bob, DealerTape, Fe,
+    SharingLedger, MAX_SHARING_MASK,
 };
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::{Keypair, PublicKey};
@@ -93,20 +90,8 @@ pub trait SmcBackend {
     /// Which substrate this backend runs on.
     fn kind(&self) -> BackendKind;
 
-    /// One secure comparison; returns `alice_value OP bob_value`.
-    #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-    fn compare<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        value: i64,
-        op: CmpOp,
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError>;
-
-    /// Round-batched comparisons (one verdict per element).
+    /// Secure comparisons, one verdict `alice_value OP bob_value` per
+    /// element; a single comparison is the one-item batch.
     #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
     fn compare_batch<C: Channel>(
         &self,
@@ -119,20 +104,8 @@ pub trait SmcBackend {
         acct: &mut SharingLedger,
     ) -> Result<Vec<bool>, SmcError>;
 
-    /// Share comparison (§5): the party's `(share_of_a, share_of_b)` pair;
-    /// both sides learn `dist_a < dist_b`.
-    #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-    fn share_less_than<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pair: (i64, i64),
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError>;
-
-    /// Round-batched share comparisons.
+    /// Share comparisons (§5): per pair, the party's
+    /// `(share_of_a, share_of_b)`; both sides learn `dist_a < dist_b`.
     #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
     fn share_less_than_batch<C: Channel>(
         &self,
@@ -212,8 +185,6 @@ pub struct PaillierBackend<'a> {
     pub comparator: Comparator,
     /// Plaintext-slot packing on comparison transcripts.
     pub packed: bool,
-    /// Round-batched framing inside the fold methods.
-    pub batching: bool,
     /// Packing layout for multiplication responses (dimension-dependent).
     pub mul_packing: Option<ResponsePacking>,
     /// Packing layout for dot-product responses (dimension-dependent).
@@ -227,40 +198,6 @@ pub struct PaillierBackend<'a> {
 impl SmcBackend for PaillierBackend<'_> {
     fn kind(&self) -> BackendKind {
         BackendKind::Paillier
-    }
-
-    fn compare<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        value: i64,
-        op: CmpOp,
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        _acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        match role {
-            Party::Alice => compare_alice(
-                self.comparator,
-                chan,
-                self.my_keypair,
-                value,
-                op,
-                domain,
-                self.packed,
-                ctx,
-            ),
-            Party::Bob => compare_bob(
-                self.comparator,
-                chan,
-                self.peer_pk,
-                value,
-                op,
-                domain,
-                self.packed,
-                ctx,
-            ),
-        }
     }
 
     fn compare_batch<C: Channel>(
@@ -290,39 +227,6 @@ impl SmcBackend for PaillierBackend<'_> {
                 self.peer_pk,
                 values,
                 op,
-                domain,
-                self.packed,
-                ctx,
-            ),
-        }
-    }
-
-    fn share_less_than<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pair: (i64, i64),
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        _acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        match role {
-            Party::Alice => share_less_than_alice(
-                self.comparator,
-                chan,
-                self.my_keypair,
-                pair.0,
-                pair.1,
-                domain,
-                self.packed,
-                ctx,
-            ),
-            Party::Bob => share_less_than_bob(
-                self.comparator,
-                chan,
-                self.peer_pk,
-                pair.0,
-                pair.1,
                 domain,
                 self.packed,
                 ctx,
@@ -413,30 +317,15 @@ impl SmcBackend for PaillierBackend<'_> {
             let sum = ws.iter().fold(BigInt::zero(), |acc, w| &acc + w);
             to_i64(&sum, "folded product")
         };
-        if self.batching {
-            let xs_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
-            let all = mul_batches_keyholder(
-                chan,
-                self.my_keypair,
-                &xs_groups,
-                |g| mul_ctx.at(records[g]),
-                self.mul_packing.as_ref(),
-            )?;
-            all.iter().map(|ws| fold(ws)).collect()
-        } else {
-            let mut out = Vec::with_capacity(groups.len());
-            for (g, xs) in groups.iter().enumerate() {
-                let ws = mul_batch_keyholder(
-                    chan,
-                    self.my_keypair,
-                    &bigints(xs),
-                    self.mul_packing.as_ref(),
-                    &mul_ctx.at(records[g]),
-                )?;
-                out.push(fold(&ws)?);
-            }
-            Ok(out)
-        }
+        let xs_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
+        let all = mul_batches_keyholder(
+            chan,
+            self.my_keypair,
+            &xs_groups,
+            |g| mul_ctx.at(records[g]),
+            self.mul_packing.as_ref(),
+        )?;
+        all.iter().map(|ws| fold(ws)).collect()
     }
 
     fn mul_fold_peer<C: Channel>(
@@ -450,36 +339,21 @@ impl SmcBackend for PaillierBackend<'_> {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mask_ctx = ctx.narrow("mask");
         let mul_ctx = ctx.narrow("mul");
-        if self.batching {
-            let ys_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
-            mul_batches_peer(
-                chan,
-                self.peer_pk,
-                &ys_groups,
-                |g| {
-                    zero_sum_masks(
-                        mask_ctx.rng_for(records[g]),
-                        groups[g].len(),
-                        &self.mul_mask_bound,
-                    )
-                },
-                |g| mul_ctx.at(records[g]),
-                self.mul_packing.as_ref(),
-            )?;
-        } else {
-            for (g, ys) in groups.iter().enumerate() {
-                let masks =
-                    zero_sum_masks(mask_ctx.rng_for(records[g]), ys.len(), &self.mul_mask_bound);
-                mul_batch_peer(
-                    chan,
-                    self.peer_pk,
-                    &bigints(ys),
-                    &masks,
-                    self.mul_packing.as_ref(),
-                    &mul_ctx.at(records[g]),
-                )?;
-            }
-        }
+        let ys_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
+        mul_batches_peer(
+            chan,
+            self.peer_pk,
+            &ys_groups,
+            |g| {
+                zero_sum_masks(
+                    mask_ctx.rng_for(records[g]),
+                    groups[g].len(),
+                    &self.mul_mask_bound,
+                )
+            },
+            |g| mul_ctx.at(records[g]),
+            self.mul_packing.as_ref(),
+        )?;
         Ok(())
     }
 }
@@ -491,8 +365,6 @@ impl SmcBackend for PaillierBackend<'_> {
 pub struct SharingBackend {
     /// The session's shared dealer tape.
     pub tape: DealerTape,
-    /// Round-batched framing inside the fold methods.
-    pub batching: bool,
     /// Mask bound for dot-product output masks (clamped to
     /// [`MAX_SHARING_MASK`] so driver-side `i64` sums stay exact).
     pub dot_mask_bound: u64,
@@ -505,22 +377,6 @@ fn fes(values: &[i64]) -> Vec<Fe> {
 impl SmcBackend for SharingBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Sharing
-    }
-
-    fn compare<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        value: i64,
-        op: CmpOp,
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        match role {
-            Party::Alice => sharing_compare_alice(&self.tape, chan, value, op, domain, ctx, acct),
-            Party::Bob => sharing_compare_bob(&self.tape, chan, value, op, domain, ctx, acct),
-        }
     }
 
     fn compare_batch<C: Channel>(
@@ -539,25 +395,6 @@ impl SmcBackend for SharingBackend {
             }
             Party::Bob => {
                 sharing_compare_batch_bob(&self.tape, chan, values, op, domain, ctx, acct)
-            }
-        }
-    }
-
-    fn share_less_than<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pair: (i64, i64),
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        match role {
-            Party::Alice => {
-                sharing_share_less_than_alice(&self.tape, chan, pair.0, pair.1, domain, ctx, acct)
-            }
-            Party::Bob => {
-                sharing_share_less_than_bob(&self.tape, chan, pair.0, pair.1, domain, ctx, acct)
             }
         }
     }
@@ -622,29 +459,14 @@ impl SmcBackend for SharingBackend {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mul_ctx = ctx.narrow("mul");
         let group_fes: Vec<Vec<Fe>> = groups.iter().map(|g| fes(g)).collect();
-        if self.batching {
-            let us = sharing_fold_keyholder_batch(
-                &self.tape,
-                chan,
-                &group_fes,
-                |g| mul_ctx.at(records[g]),
-                acct,
-            )?;
-            Ok(us.into_iter().map(Fe::lift).collect())
-        } else {
-            let mut out = Vec::with_capacity(groups.len());
-            for (g, xs) in group_fes.iter().enumerate() {
-                let u = sharing_fold_keyholder_one(
-                    &self.tape,
-                    chan,
-                    xs,
-                    &mul_ctx.at(records[g]),
-                    acct,
-                )?;
-                out.push(u.lift());
-            }
-            Ok(out)
-        }
+        let us = sharing_fold_keyholder_batch(
+            &self.tape,
+            chan,
+            &group_fes,
+            |g| mul_ctx.at(records[g]),
+            acct,
+        )?;
+        Ok(us.into_iter().map(Fe::lift).collect())
     }
 
     fn mul_fold_peer<C: Channel>(
@@ -658,20 +480,13 @@ impl SmcBackend for SharingBackend {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mul_ctx = ctx.narrow("mul");
         let group_fes: Vec<Vec<Fe>> = groups.iter().map(|g| fes(g)).collect();
-        if self.batching {
-            sharing_fold_peer_batch(
-                &self.tape,
-                chan,
-                &group_fes,
-                |g| mul_ctx.at(records[g]),
-                acct,
-            )
-        } else {
-            for (g, ys) in group_fes.iter().enumerate() {
-                sharing_fold_peer_one(&self.tape, chan, ys, &mul_ctx.at(records[g]), acct)?;
-            }
-            Ok(())
-        }
+        sharing_fold_peer_batch(
+            &self.tape,
+            chan,
+            &group_fes,
+            |g| mul_ctx.at(records[g]),
+            acct,
+        )
     }
 }
 
@@ -699,19 +514,6 @@ impl SmcBackend for AnyBackend<'_> {
         dispatch!(self, b => b.kind())
     }
 
-    fn compare<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        value: i64,
-        op: CmpOp,
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        dispatch!(self, b => b.compare(chan, role, value, op, domain, ctx, acct))
-    }
-
     fn compare_batch<C: Channel>(
         &self,
         chan: &mut C,
@@ -723,18 +525,6 @@ impl SmcBackend for AnyBackend<'_> {
         acct: &mut SharingLedger,
     ) -> Result<Vec<bool>, SmcError> {
         dispatch!(self, b => b.compare_batch(chan, role, values, op, domain, ctx, acct))
-    }
-
-    fn share_less_than<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pair: (i64, i64),
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        dispatch!(self, b => b.share_less_than(chan, role, pair, domain, ctx, acct))
     }
 
     fn share_less_than_batch<C: Channel>(

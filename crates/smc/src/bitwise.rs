@@ -26,12 +26,10 @@
 //! Randomness: the mask scalars are value-rejection sampled and the
 //! permutation is value-dependent, so under the old threaded-`StdRng`
 //! discipline the *stream position* after a DGK call depended on the
-//! inputs — the root cause of the batched-HDP leakage-order divergence.
-//! Every entry point now takes a record-scoped [`ProtocolContext`]; batch
-//! forms key item `i` as `ctx.rng_for(i)`, which by construction equals
-//! the stream a sequential caller scoping with `ctx.at(i)` would draw, so
-//! the batched items are order-independent and evaluated on the
-//! [`crate::parallel`] worker pool.
+//! inputs, so one item's draws shifted every later item's stream.
+//! Every entry point now takes a [`ProtocolContext`] and keys item `i` of
+//! its batch as `ctx.rng_for(i)`, so the items are order-independent and
+//! evaluated on the [`crate::parallel`] worker pool.
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
@@ -248,53 +246,16 @@ fn scan_packed(
     Ok(slots.iter().any(BigUint::is_zero))
 }
 
-/// Alice's side: inputs `x`, learns whether `x < y`. Both inputs must be
-/// `< 2^63` (they are domain-encoded comparison operands, far smaller).
-/// `ctx` is the record scope of this comparison.
-pub fn dgk_alice<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    x: u64,
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let ell = bit_width(domain_bound);
-    // Step 1: encrypted bits, MSB first.
-    chan.send(&encrypt_bits(keypair, x, ell, ctx.rng())?)?;
-    // Step 3: decrypt the masked, permuted c_i values.
-    let masked: Vec<BigUint> = chan.recv()?;
-    let x_lt_y = scan_masked(keypair, &masked, ell)?;
-    // Step 4: tell Bob, mirroring Algorithm 1's final message.
-    chan.send(&x_lt_y)?;
-    Ok(x_lt_y)
-}
-
-/// Bob's side: inputs `y`, learns whether `x < y`. `ctx` is the record
-/// scope of this comparison.
-pub fn dgk_bob<C: Channel>(
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    y: u64,
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let ell = bit_width(domain_bound);
-    let raw_bits: Vec<BigUint> = chan.recv()?;
-    let wire = masked_comparison_vector(alice_pk, &raw_bits, y, ell, ctx.rng())?;
-    chan.send(&wire)?;
-    Ok(chan.recv()?)
-}
-
-/// Round-batched Alice side: `k` comparisons against Bob's `k` inputs in
-/// **three wire rounds total** (one frame of `k·ℓ` encrypted bits out, one
-/// frame of masked vectors back, one frame of conclusions out), versus
-/// `3k` rounds for `k` sequential [`dgk_alice`] calls.
+/// Alice's side: inputs `xs` (each `< 2^63`; they are domain-encoded
+/// comparison operands, far smaller), learns `xs[i] < ys[i]` for Bob's
+/// equally long `ys`. `k` comparisons take **three wire rounds total** (one
+/// frame of `k·ℓ` encrypted bits out, one frame of masked vectors back, one
+/// frame of conclusions out); a single comparison is the one-item batch.
 ///
-/// Comparison `i` draws from `ctx.rng_for(i)` — exactly the stream a
-/// sequential caller scoping [`dgk_alice`] with `ctx.at(i)` would use — so
-/// outcomes, ciphertexts, and the leakage profile are identical to the
-/// unbatched run regardless of evaluation order, and the `k·ℓ` ciphertext
-/// encryptions/decryptions run on the [`crate::parallel`] pool.
+/// Comparison `i` draws from `ctx.rng_for(i)`, so outcomes, ciphertexts,
+/// and the leakage profile do not depend on evaluation order, and the
+/// `k·ℓ` ciphertext encryptions/decryptions run on the
+/// [`crate::parallel`] pool.
 pub fn dgk_batch_alice<C: Channel>(
     chan: &mut C,
     keypair: &Keypair,
@@ -326,11 +287,10 @@ pub fn dgk_batch_alice<C: Channel>(
     Ok(results)
 }
 
-/// Round-batched Bob side of [`dgk_batch_alice`]: comparison `i` draws its
-/// mask scalars and permutation from `ctx.rng_for(i)`, so each masked
-/// vector is independent of every other item's value-dependent rejection
-/// sampling — the property that closes the old batched-HDP leakage-order
-/// gap and lets the vectors be computed in parallel.
+/// Bob's side of [`dgk_batch_alice`]: comparison `i` draws its mask
+/// scalars and permutation from `ctx.rng_for(i)`, so each masked vector is
+/// independent of every other item's value-dependent rejection sampling —
+/// which lets the vectors be computed in parallel.
 pub fn dgk_batch_bob<C: Channel>(
     chan: &mut C,
     alice_pk: &PublicKey,
@@ -366,53 +326,12 @@ pub fn dgk_batch_bob<C: Channel>(
     Ok(results)
 }
 
-/// Packed-reply Alice side: identical to [`dgk_alice`] except step 3 — the
-/// masked verdict vector arrives as `⌈ℓ/capacity⌉` packed words instead of
-/// `ℓ` ciphertexts, so both the reply bytes and Alice's decryption count
-/// shrink by the packing factor. Falls back to the unpacked protocol
-/// (symmetrically — the layout is a function of public data) when the key
-/// cannot fit even one slot.
-pub fn dgk_packed_alice<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    x: u64,
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let Some(layout) = dgk_pack_layout(keypair.public.bits(), domain_bound) else {
-        return dgk_alice(chan, keypair, x, domain_bound, ctx);
-    };
-    let ell = bit_width(domain_bound);
-    chan.send(&encrypt_bits(keypair, x, ell, ctx.rng())?)?;
-    let words: Vec<BigUint> = chan.recv()?;
-    let x_lt_y = scan_packed(keypair, &words, ell, &layout)?;
-    chan.send(&x_lt_y)?;
-    Ok(x_lt_y)
-}
-
-/// Packed-reply Bob side of [`dgk_packed_alice`].
-pub fn dgk_packed_bob<C: Channel>(
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    y: u64,
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let Some(layout) = dgk_pack_layout(alice_pk.bits(), domain_bound) else {
-        return dgk_bob(chan, alice_pk, y, domain_bound, ctx);
-    };
-    let ell = bit_width(domain_bound);
-    let raw_bits: Vec<BigUint> = chan.recv()?;
-    let wire = masked_packed_vector(alice_pk, &raw_bits, y, ell, &layout, ctx)?;
-    chan.send(&wire)?;
-    Ok(chan.recv()?)
-}
-
-/// Round-batched, packed-reply Alice side: the wire shape of
-/// [`dgk_batch_alice`] with every reply group packed — `k·⌈ℓ/capacity⌉`
-/// reply ciphertexts (and decryptions) for `k` comparisons instead of
-/// `k·ℓ`. Comparison `i` scopes its packed reply under `ctx.at(i)`,
-/// matching a sequential [`dgk_packed_alice`] caller.
+/// Packed-reply Alice side: the wire shape of [`dgk_batch_alice`] with
+/// every reply group packed — `k·⌈ℓ/capacity⌉` reply ciphertexts (and
+/// decryptions) for `k` comparisons instead of `k·ℓ`. Comparison `i`
+/// scopes its packed reply under `ctx.at(i)`. Falls back to the unpacked
+/// reply (symmetrically — the layout is a function of public data) when
+/// the key cannot fit even one slot.
 pub fn dgk_batch_packed_alice<C: Channel>(
     chan: &mut C,
     keypair: &Keypair,
@@ -447,7 +366,7 @@ pub fn dgk_batch_packed_alice<C: Channel>(
     Ok(results)
 }
 
-/// Round-batched, packed-reply Bob side of [`dgk_batch_packed_alice`].
+/// Packed-reply Bob side of [`dgk_batch_packed_alice`].
 pub fn dgk_batch_packed_bob<C: Channel>(
     chan: &mut C,
     alice_pk: &PublicKey,
@@ -493,29 +412,51 @@ mod tests {
     use crate::test_helpers::{alice_keypair, ctx, rng};
     use ppds_transport::duplex;
 
-    fn run(x: u64, y: u64, bound: u64, seed: u64) -> bool {
+    /// Runs one batch on two threads; returns Alice's verdicts (checked
+    /// equal to Bob's) and her channel metrics.
+    fn run_batch(
+        xs: Vec<u64>,
+        ys: Vec<u64>,
+        bound: u64,
+        packed: bool,
+        seeds: (u64, u64),
+    ) -> (Vec<bool>, ppds_transport::MetricsSnapshot) {
         let (mut achan, mut bchan) = duplex();
         let alice = std::thread::spawn(move || {
-            dgk_alice(&mut achan, alice_keypair(), x, bound, &ctx(seed)).unwrap()
+            let kp = alice_keypair();
+            let out = if packed {
+                dgk_batch_packed_alice(&mut achan, kp, &xs, bound, &ctx(seeds.0))
+            } else {
+                dgk_batch_alice(&mut achan, kp, &xs, bound, &ctx(seeds.0))
+            }
+            .unwrap();
+            (out, achan.metrics())
         });
-        let bob_view = dgk_bob(
-            &mut bchan,
-            &alice_keypair().public,
-            y,
-            bound,
-            &ctx(seed + 1),
-        )
+        let pk = &alice_keypair().public;
+        let bob_view = if packed {
+            dgk_batch_packed_bob(&mut bchan, pk, &ys, bound, &ctx(seeds.1))
+        } else {
+            dgk_batch_bob(&mut bchan, pk, &ys, bound, &ctx(seeds.1))
+        }
         .unwrap();
-        let alice_view = alice.join().unwrap();
+        let (alice_view, metrics) = alice.join().unwrap();
         assert_eq!(alice_view, bob_view, "views must agree");
-        alice_view
+        (alice_view, metrics)
+    }
+
+    /// One comparison: the one-item batch.
+    fn run(x: u64, y: u64, bound: u64, packed: bool, seed: u64) -> bool {
+        run_batch(vec![x], vec![y], bound, packed, (seed, seed + 1)).0[0]
     }
 
     #[test]
     fn exhaustive_small_domain() {
-        for x in 0..8u64 {
-            for y in 0..8u64 {
-                assert_eq!(run(x, y, 7, 100 + x * 8 + y), x < y, "{x} < {y}");
+        for packed in [false, true] {
+            for x in 0..8u64 {
+                for y in 0..8u64 {
+                    let seed = 100 + x * 8 + y;
+                    assert_eq!(run(x, y, 7, packed, seed), x < y, "{x} < {y}");
+                }
             }
         }
     }
@@ -523,112 +464,61 @@ mod tests {
     #[test]
     fn wide_values() {
         let bound = (1 << 40) - 1;
-        for (x, y) in [
-            (0u64, 1u64),
-            (1, 0),
-            (123_456_789, 123_456_790),
-            (123_456_790, 123_456_789),
-            ((1 << 40) - 1, (1 << 40) - 1),
-            (0, (1 << 40) - 1),
-            ((1 << 40) - 1, 0),
-            (1 << 39, (1 << 39) + 1),
-        ] {
-            assert_eq!(
-                run(x, y, bound, 7_000 + x % 97 + y % 89),
-                x < y,
-                "{x} < {y}"
-            );
+        for packed in [false, true] {
+            for (x, y) in [
+                (0u64, 1u64),
+                (1, 0),
+                (123_456_789, 123_456_790),
+                (123_456_790, 123_456_789),
+                ((1 << 40) - 1, (1 << 40) - 1),
+                (0, (1 << 40) - 1),
+                ((1 << 40) - 1, 0),
+                (1 << 39, (1 << 39) + 1),
+            ] {
+                let seed = 7_000 + x % 97 + y % 89;
+                assert_eq!(run(x, y, bound, packed, seed), x < y, "{x} < {y}");
+            }
         }
     }
 
     #[test]
     fn equal_values_are_not_less() {
         for v in [0u64, 1, 5, 100] {
-            assert!(!run(v, v, 127, 9_000 + v));
+            assert!(!run(v, v, 127, false, 9_000 + v));
         }
     }
 
     #[test]
-    fn truncated_batches_are_protocol_errors() {
+    fn truncated_bit_groups_are_protocol_errors() {
         let (mut achan, mut bchan) = duplex();
-        // Fake Alice sends too few encrypted bits.
+        // Fake Alice sends one group with too few encrypted bits.
         let kp = alice_keypair();
-        let mut r = rng(1);
         let short: Vec<BigUint> = vec![kp
             .public
-            .encrypt(&BigUint::zero(), &mut r)
+            .encrypt(&BigUint::zero(), &mut rng(1))
             .unwrap()
             .as_biguint()
             .clone()];
-        achan.send(&short).unwrap();
-        let err = dgk_bob(&mut bchan, &kp.public, 3, 7, &ctx(1)).unwrap_err();
+        achan.send_batch(&[short]).unwrap();
+        let err = dgk_batch_bob(&mut bchan, &kp.public, &[3], 7, &ctx(1)).unwrap_err();
         assert!(matches!(err, SmcError::Protocol(_)));
     }
 
-    fn run_batch(
-        xs: Vec<u64>,
-        ys: Vec<u64>,
-        bound: u64,
-        seeds: (u64, u64),
-    ) -> (Vec<bool>, ppds_transport::MetricsSnapshot) {
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            let out =
-                dgk_batch_alice(&mut achan, alice_keypair(), &xs, bound, &ctx(seeds.0)).unwrap();
-            (out, achan.metrics())
-        });
-        let bob_view = dgk_batch_bob(
-            &mut bchan,
-            &alice_keypair().public,
-            &ys,
-            bound,
-            &ctx(seeds.1),
-        )
-        .unwrap();
-        let (alice_view, metrics) = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view);
-        (alice_view, metrics)
-    }
-
     #[test]
-    fn batch_agrees_with_sequential_and_collapses_rounds() {
+    fn batch_agrees_with_plaintext_and_collapses_rounds() {
         let bound = 1023u64;
-        let xs: Vec<u64> = vec![0, 1, 400, 700, 1023, 512];
-        let ys: Vec<u64> = vec![1, 0, 700, 700, 0, 513];
-        let (alice_view, metrics) = run_batch(xs.clone(), ys.clone(), bound, (40, 41));
-        for i in 0..xs.len() {
-            assert_eq!(alice_view[i], xs[i] < ys[i], "{} < {}", xs[i], ys[i]);
-        }
-        // 3 wire rounds total for 6 comparisons (2 sent by Alice, 1 received).
-        assert_eq!(metrics.rounds_sent, 2);
-        assert_eq!(metrics.rounds_received, 1);
-        assert!(metrics.total_messages() > metrics.total_rounds());
-    }
-
-    #[test]
-    fn batch_items_equal_scoped_sequential_calls() {
-        // Keyed substreams: batch item i must produce exactly the bytes of
-        // a sequential dgk run scoped at(i) — the invariant that makes
-        // batched and unbatched protocol framings transcript-identical.
-        let bound = 255u64;
-        let xs: Vec<u64> = vec![3, 200, 77];
-        let ys: Vec<u64> = vec![4, 100, 77];
-        let (batch_view, _) = run_batch(xs.clone(), ys.clone(), bound, (50, 51));
-        for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                dgk_alice(&mut achan, alice_keypair(), x, bound, &ctx(50).at(i as u64)).unwrap()
-            });
-            let bob_view = dgk_bob(
-                &mut bchan,
-                &alice_keypair().public,
-                y,
-                bound,
-                &ctx(51).at(i as u64),
-            )
-            .unwrap();
-            assert_eq!(alice.join().unwrap(), batch_view[i]);
-            assert_eq!(bob_view, batch_view[i]);
+        let xs: Vec<u64> = vec![0, 1, 400, 700, 1023, 512, 88];
+        let ys: Vec<u64> = vec![1, 0, 700, 700, 0, 513, 88];
+        for packed in [false, true] {
+            let (alice_view, metrics) = run_batch(xs.clone(), ys.clone(), bound, packed, (40, 41));
+            for i in 0..xs.len() {
+                assert_eq!(alice_view[i], xs[i] < ys[i], "{} < {}", xs[i], ys[i]);
+            }
+            // 3 wire rounds total for 7 comparisons (2 sent by Alice, 1
+            // received), 3 logical messages per comparison.
+            assert_eq!(metrics.rounds_sent, 2);
+            assert_eq!(metrics.rounds_received, 1);
+            assert_eq!(metrics.total_messages(), 3 * xs.len() as u64);
         }
     }
 
@@ -637,28 +527,20 @@ mod tests {
         let bound = 1023u64;
         let xs: Vec<u64> = (0..12).map(|i| i * 85).collect();
         let ys: Vec<u64> = (0..12).map(|i| 1020 - i * 85).collect();
-        let run_with = |workers| {
-            let _guard = force_workers(workers);
-            let (mut achan, mut bchan) = duplex();
-            let xs = xs.clone();
-            let alice = std::thread::spawn(move || {
-                let out =
-                    dgk_batch_alice(&mut achan, alice_keypair(), &xs, bound, &ctx(60)).unwrap();
-                (out, achan.metrics())
-            });
-            let bob =
-                dgk_batch_bob(&mut bchan, &alice_keypair().public, &ys, bound, &ctx(61)).unwrap();
-            let (a, metrics) = alice.join().unwrap();
-            (a, bob, metrics.total_bytes())
-        };
-        let (a1, b1, bytes1) = run_with(1);
-        let (a4, b4, bytes4) = run_with(4);
-        assert_eq!(a1, a4);
-        assert_eq!(b1, b4);
-        assert_eq!(
-            bytes1, bytes4,
-            "every wire byte identical under parallelism"
-        );
+        for packed in [false, true] {
+            let run_with = |workers| {
+                let _guard = force_workers(workers);
+                let (out, metrics) = run_batch(xs.clone(), ys.clone(), bound, packed, (60, 61));
+                (out, metrics.total_bytes())
+            };
+            let (a1, bytes1) = run_with(1);
+            let (a4, bytes4) = run_with(4);
+            assert_eq!(a1, a4);
+            assert_eq!(
+                bytes1, bytes4,
+                "every wire byte identical under parallelism"
+            );
+        }
     }
 
     #[test]
@@ -670,168 +552,24 @@ mod tests {
         assert_eq!(achan.metrics().total_rounds(), 0);
     }
 
-    fn run_packed(x: u64, y: u64, bound: u64, seed: u64) -> bool {
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            dgk_packed_alice(&mut achan, alice_keypair(), x, bound, &ctx(seed)).unwrap()
-        });
-        let bob_view = dgk_packed_bob(
-            &mut bchan,
-            &alice_keypair().public,
-            y,
-            bound,
-            &ctx(seed + 1),
-        )
-        .unwrap();
-        let alice_view = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view, "views must agree");
-        alice_view
-    }
-
-    #[test]
-    fn packed_exhaustive_small_domain() {
-        for x in 0..8u64 {
-            for y in 0..8u64 {
-                assert_eq!(run_packed(x, y, 7, 400 + x * 8 + y), x < y, "{x} < {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_wide_values() {
-        let bound = (1 << 40) - 1;
-        for (x, y) in [
-            (0u64, 1u64),
-            (1, 0),
-            (123_456_789, 123_456_790),
-            ((1 << 40) - 1, (1 << 40) - 1),
-            (0, (1 << 40) - 1),
-            (1 << 39, (1 << 39) + 1),
-        ] {
-            assert_eq!(
-                run_packed(x, y, bound, 17_000 + x % 97 + y % 89),
-                x < y,
-                "{x} < {y}"
-            );
-        }
-    }
-
     #[test]
     fn packed_reply_ships_fewer_ciphertexts_and_decryptions() {
-        // The tentpole claim at this layer: the reply leg collapses from ℓ
-        // ciphertexts to ⌈ℓ/capacity⌉ words (with ℓ = 10 and 256-bit keys,
-        // one word), so Alice's received bytes shrink accordingly.
+        // The reply leg collapses from ℓ ciphertexts to ⌈ℓ/capacity⌉ words
+        // (with ℓ = 10 and 256-bit keys, one word), so Alice's received
+        // bytes shrink accordingly.
         let bound = 1023u64; // ℓ = 10
         let layout = dgk_pack_layout(alice_keypair().public.bits(), bound).unwrap();
         assert!(layout.capacity() >= 10, "layout {layout:?}");
-        let measure = |packed: bool| {
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                let out = if packed {
-                    dgk_packed_alice(&mut achan, alice_keypair(), 400, bound, &ctx(2))
-                } else {
-                    dgk_alice(&mut achan, alice_keypair(), 400, bound, &ctx(2))
-                }
-                .unwrap();
-                (out, achan.metrics().bytes_received)
-            });
-            let bob = if packed {
-                dgk_packed_bob(&mut bchan, &alice_keypair().public, 700, bound, &ctx(3))
-            } else {
-                dgk_bob(&mut bchan, &alice_keypair().public, 700, bound, &ctx(3))
-            }
-            .unwrap();
-            let (a, reply_bytes) = alice.join().unwrap();
-            assert_eq!(a, bob);
-            reply_bytes
+        let reply_bytes = |packed| {
+            let (out, metrics) = run_batch(vec![400], vec![700], bound, packed, (2, 3));
+            assert_eq!(out, vec![true]);
+            metrics.bytes_received
         };
-        let unpacked = measure(false);
-        let packed = measure(true);
+        let unpacked = reply_bytes(false);
+        let packed = reply_bytes(true);
         assert!(
             unpacked as f64 >= 5.0 * packed as f64,
             "reply bytes {unpacked} unpacked vs {packed} packed"
-        );
-    }
-
-    #[test]
-    fn packed_batch_agrees_with_unpacked_batch() {
-        let bound = 1023u64;
-        let xs: Vec<u64> = vec![0, 1, 400, 700, 1023, 512, 88];
-        let ys: Vec<u64> = vec![1, 0, 700, 700, 0, 513, 88];
-        let (plain, _) = run_batch(xs.clone(), ys.clone(), bound, (40, 41));
-        let (mut achan, mut bchan) = duplex();
-        let xs2 = xs.clone();
-        let alice = std::thread::spawn(move || {
-            dgk_batch_packed_alice(&mut achan, alice_keypair(), &xs2, bound, &ctx(40)).unwrap()
-        });
-        let bob = dgk_batch_packed_bob(&mut bchan, &alice_keypair().public, &ys, bound, &ctx(41))
-            .unwrap();
-        let packed = alice.join().unwrap();
-        assert_eq!(packed, plain, "packed batch outcomes match unpacked");
-        assert_eq!(bob, plain);
-    }
-
-    #[test]
-    fn packed_batch_items_equal_scoped_sequential_packed_calls() {
-        let bound = 255u64;
-        let xs: Vec<u64> = vec![3, 200, 77];
-        let ys: Vec<u64> = vec![4, 100, 77];
-        let (mut achan, mut bchan) = duplex();
-        let xs2 = xs.clone();
-        let alice = std::thread::spawn(move || {
-            dgk_batch_packed_alice(&mut achan, alice_keypair(), &xs2, bound, &ctx(50)).unwrap()
-        });
-        let ys2 = ys.clone();
-        let batch_view =
-            dgk_batch_packed_bob(&mut bchan, &alice_keypair().public, &ys2, bound, &ctx(51))
-                .unwrap();
-        alice.join().unwrap();
-        for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                dgk_packed_alice(&mut achan, alice_keypair(), x, bound, &ctx(50).at(i as u64))
-                    .unwrap()
-            });
-            let bob_view = dgk_packed_bob(
-                &mut bchan,
-                &alice_keypair().public,
-                y,
-                bound,
-                &ctx(51).at(i as u64),
-            )
-            .unwrap();
-            assert_eq!(alice.join().unwrap(), batch_view[i]);
-            assert_eq!(bob_view, batch_view[i]);
-        }
-    }
-
-    #[test]
-    fn packed_parallel_batch_is_byte_identical_to_sequential_batch() {
-        let bound = 1023u64;
-        let xs: Vec<u64> = (0..12).map(|i| i * 85).collect();
-        let ys: Vec<u64> = (0..12).map(|i| 1020 - i * 85).collect();
-        let run_with = |workers| {
-            let _guard = force_workers(workers);
-            let (mut achan, mut bchan) = duplex();
-            let xs = xs.clone();
-            let alice = std::thread::spawn(move || {
-                let out = dgk_batch_packed_alice(&mut achan, alice_keypair(), &xs, bound, &ctx(60))
-                    .unwrap();
-                (out, achan.metrics())
-            });
-            let bob =
-                dgk_batch_packed_bob(&mut bchan, &alice_keypair().public, &ys, bound, &ctx(61))
-                    .unwrap();
-            let (a, metrics) = alice.join().unwrap();
-            (a, bob, metrics.total_bytes())
-        };
-        let (a1, b1, bytes1) = run_with(1);
-        let (a4, b4, bytes4) = run_with(4);
-        assert_eq!(a1, a4);
-        assert_eq!(b1, b4);
-        assert_eq!(
-            bytes1, bytes4,
-            "every wire byte identical under parallelism"
         );
     }
 
@@ -848,13 +586,8 @@ mod tests {
         // ℓ = 10 bits for n0 = 1023 → 20 ciphertexts total, versus the
         // faithful Yao protocol's 1023 residues (~16 KiB at 256-bit keys).
         let bound = 1023u64;
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            dgk_alice(&mut achan, alice_keypair(), 400, bound, &ctx(2)).unwrap();
-            achan.metrics().total_bytes()
-        });
-        dgk_bob(&mut bchan, &alice_keypair().public, 700, bound, &ctx(3)).unwrap();
-        let dgk_bytes = alice.join().unwrap();
+        let (_, metrics) = run_batch(vec![400], vec![700], bound, false, (2, 3));
+        let dgk_bytes = metrics.total_bytes();
         let (m1, m2, m3) = crate::millionaires::modeled_message_sizes(256, bound + 1);
         let yao_bytes = m1 + m2 + m3;
         assert!(

@@ -105,83 +105,29 @@ impl ComparisonDomain {
     }
 }
 
-/// Alice's side of one secure comparison; returns `alice_value OP bob_value`.
-/// Alice must hold the Paillier keypair used by the Yao backend. `ctx` is
-/// the record scope of this comparison (`step_ctx.at(record)`); the batch
-/// entry points derive the same scopes per item, so framings agree.
+/// Alice's side of `values.len()` independent secure comparisons against
+/// Bob's equally long vector, all sharing one `op` and one `domain`; returns
+/// `alice_value OP bob_value` per element. A single comparison is the
+/// one-item batch. Alice must hold the Paillier keypair.
+///
+/// Both parties must call with vectors of the same length (the protocols
+/// guarantee this: both sides know the candidate set size). The Ideal and
+/// Dgk backends pack their per-comparison messages into shared [`Batch`]
+/// frames — three wire rounds for the whole set; the faithful Yao backend
+/// has no batched form (Algorithm 1's z-sequence is per-comparison
+/// interactive state), so it runs its items one after another at three
+/// rounds each. The paper's per-comparison message counts stay visible in
+/// the channel's logical-message counters either way.
+///
+/// Comparison `i` draws from `ctx.rng_for(i)` (`ctx.at(i)` for Yao).
 ///
 /// `packed` selects the plaintext-slot-packed transport
-/// (`ProtocolConfig::packing`): the DGK backend ships its masked verdict
+/// (`ProtocolConfig::packing`): the DGK backend ships each masked verdict
 /// vector as `⌈ℓ/capacity⌉` packed words, and the Ideal backend pads its
 /// verdict-sized message to the packed transcript size (see
 /// [`IDEAL_PADDING_CAP`]). Outcomes are identical either way; the faithful
 /// Yao backend has no packed form (its message 2 is plaintext residues)
-/// and ignores the flag, exactly as it ignores batching.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn compare_alice<C: Channel>(
-    comparator: Comparator,
-    chan: &mut C,
-    keypair: &Keypair,
-    value: i64,
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let i = domain.encode(value)?;
-    match comparator {
-        Comparator::Yao => millionaires::yao_alice(chan, keypair, i, &domain.yao_config(), ctx),
-        Comparator::Ideal => ideal_alice(chan, keypair.public.bits(), i, op, domain, packed),
-        Comparator::Dgk if packed => {
-            crate::bitwise::dgk_packed_alice(chan, keypair, i, domain.n0(), ctx)
-        }
-        Comparator::Dgk => crate::bitwise::dgk_alice(chan, keypair, i, domain.n0(), ctx),
-    }
-}
-
-/// Bob's side of one secure comparison; returns `alice_value OP bob_value`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn compare_bob<C: Channel>(
-    comparator: Comparator,
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    value: i64,
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let j = domain.encode(value)?;
-    // `i ≤ j` is evaluated as `i < j + 1`; the domain reserves the headroom.
-    let j_eff = match op {
-        CmpOp::Lt => j,
-        CmpOp::Leq => j + 1,
-    };
-    match comparator {
-        Comparator::Yao => millionaires::yao_bob(chan, alice_pk, j_eff, &domain.yao_config(), ctx),
-        Comparator::Ideal => ideal_bob(chan, alice_pk.bits(), j_eff, domain, packed),
-        Comparator::Dgk if packed => {
-            crate::bitwise::dgk_packed_bob(chan, alice_pk, j_eff, domain.n0(), ctx)
-        }
-        Comparator::Dgk => crate::bitwise::dgk_bob(chan, alice_pk, j_eff, domain.n0(), ctx),
-    }
-}
-
-/// Round-batched Alice side: `values.len()` independent comparisons against
-/// Bob's equally long vector, all sharing one `op` and one `domain`, packed
-/// into a constant number of wire rounds instead of one round-trip each.
-///
-/// Both parties must call the batch entry points with vectors of the same
-/// length (the protocols guarantee this: both sides know the candidate set
-/// size). Per element, the outcome is exactly
-/// `compare_alice(values[i]) OP compare_bob(values[i])` — the Ideal and Dgk
-/// backends pack their per-comparison messages into shared [`Batch`]
-/// frames; the faithful Yao backend has no batched form (Algorithm 1's
-/// z-sequence is per-comparison interactive state), so it degrades to the
-/// sequential loop with identical results and no round win.
-///
-/// Comparison `i` of the batch draws from `ctx.rng_for(i)` — the stream a
-/// sequential caller would get from [`compare_alice`] scoped `ctx.at(i)`.
+/// and ignores the flag.
 ///
 /// [`Batch`]: ppds_transport::Batch
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
@@ -223,7 +169,7 @@ pub fn compare_batch_alice<C: Channel>(
     Ok(out)
 }
 
-/// Round-batched Bob side of [`compare_batch_alice`].
+/// Bob's side of [`compare_batch_alice`].
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn compare_batch_bob<C: Channel>(
     comparator: Comparator,
@@ -266,66 +212,6 @@ pub fn compare_batch_bob<C: Channel>(
     Ok(out)
 }
 
-/// Share comparison (§5): Alice holds `u_a, u_b`, Bob holds `v_a, v_b`,
-/// shares of `dist_a = u_a - v_a` and `dist_b = u_b - v_b`. Both learn
-/// whether `dist_a < dist_b`, via `u_a - u_b < v_a - v_b`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn share_less_than_alice<C: Channel>(
-    comparator: Comparator,
-    chan: &mut C,
-    keypair: &Keypair,
-    u_a: i64,
-    u_b: i64,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let diff = u_a.checked_sub(u_b).ok_or(SmcError::DomainViolation {
-        value: i64::MAX,
-        lo: domain.lo,
-        hi: domain.hi,
-    })?;
-    compare_alice(
-        comparator,
-        chan,
-        keypair,
-        diff,
-        CmpOp::Lt,
-        domain,
-        packed,
-        ctx,
-    )
-}
-
-/// Bob's half of [`share_less_than_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn share_less_than_bob<C: Channel>(
-    comparator: Comparator,
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    v_a: i64,
-    v_b: i64,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let diff = v_a.checked_sub(v_b).ok_or(SmcError::DomainViolation {
-        value: i64::MAX,
-        lo: domain.lo,
-        hi: domain.hi,
-    })?;
-    compare_bob(
-        comparator,
-        chan,
-        alice_pk,
-        diff,
-        CmpOp::Lt,
-        domain,
-        packed,
-        ctx,
-    )
-}
-
 fn share_diffs(pairs: &[(i64, i64)], domain: &ComparisonDomain) -> Result<Vec<i64>, SmcError> {
     pairs
         .iter()
@@ -339,10 +225,11 @@ fn share_diffs(pairs: &[(i64, i64)], domain: &ComparisonDomain) -> Result<Vec<i6
         .collect()
 }
 
-/// Round-batched share comparisons: each pair `(u_a, u_b)` against Bob's
-/// `(v_a, v_b)` decides `dist_a < dist_b`, all in a constant number of wire
-/// rounds (see [`compare_batch_alice`]). Used by the enhanced protocol's
-/// batched quickselect partitions.
+/// Share comparisons (§5): Alice holds `(u_a, u_b)` per pair, Bob holds
+/// `(v_a, v_b)`, shares of `dist_a = u_a - v_a` and `dist_b = u_b - v_b`.
+/// Both learn whether `dist_a < dist_b`, via `u_a - u_b < v_a - v_b`, for
+/// every pair in one [`compare_batch_alice`] exchange. Used by the enhanced
+/// protocol's k-th-smallest selection.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn share_less_than_batch_alice<C: Channel>(
     comparator: Comparator,
@@ -428,56 +315,15 @@ fn ideal_packing_factor(key_bits: usize, domain: &ComparisonDomain, packed: bool
 /// backend's packed verdict words, so the *physical* padding shrinks by
 /// the layout capacity while the [`crate::millionaires`] model — and with
 /// it the caller's `YaoLedger` — keeps charging the canonical unpacked
-/// cost, invariant across framings and packings.
+/// cost, invariant across packings.
 fn verdict_padding(modeled: u64, used: u64, factor: u64) -> Vec<u8> {
     vec![0u8; (modeled.saturating_sub(used).min(IDEAL_PADDING_CAP) / factor.max(1)) as usize]
 }
 
-fn ideal_alice<C: Channel>(
-    chan: &mut C,
-    key_bits: usize,
-    i: u64,
-    _op: CmpOp,
-    domain: &ComparisonDomain,
-    packed: bool,
-) -> Result<bool, SmcError> {
-    let (m1, m2, m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
-    let factor = ideal_packing_factor(key_bits, domain, packed);
-    // Message 1 (Bob→Alice in YMPP): Bob's effective input.
-    let (j_eff, _pad): (u64, Vec<u8>) = chan.recv()?;
-    // Message 2 (Alice→Bob): the result, padded to the z-sequence size
-    // (packed: to its packed-word share).
-    let result = i < j_eff;
-    chan.send(&(result, verdict_padding(m2, 5, factor)))?;
-    // Message 3 (Bob→Alice): conclusion echo, as in Algorithm 1 step 7.
-    let (echoed, _pad): (bool, Vec<u8>) = chan.recv()?;
-    if echoed != result {
-        return Err(SmcError::protocol("ideal comparator echo mismatch"));
-    }
-    let _ = (m1, m3);
-    Ok(result)
-}
-
-fn ideal_bob<C: Channel>(
-    chan: &mut C,
-    key_bits: usize,
-    j_eff: u64,
-    domain: &ComparisonDomain,
-    packed: bool,
-) -> Result<bool, SmcError> {
-    let (m1, _m2, m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
-    let _ = packed; // Bob's messages model single values; nothing to pack.
-    chan.send(&(j_eff, padding(m1, 12)))?;
-    let (result, _pad): (bool, Vec<u8>) = chan.recv()?;
-    chan.send(&(result, padding(m3, 5)))?;
-    Ok(result)
-}
-
-/// Batched Ideal backend: the three per-comparison messages of
-/// [`ideal_alice`]/[`ideal_bob`] become three [`Batch`] frames carrying one
-/// item per comparison, each item padded exactly as its unbatched
-/// counterpart — so modeled bytes stay per-comparison comparable while the
-/// round count drops from `3k` to 3.
+/// Ideal backend: the three YMPP messages of each comparison ride three
+/// [`Batch`] frames carrying one item per comparison, each item padded to
+/// its modeled YMPP size — so bytes stay per-comparison comparable while
+/// the round count is 3 for the whole set.
 ///
 /// [`Batch`]: ppds_transport::Batch
 fn ideal_batch_alice<C: Channel>(
@@ -551,35 +397,9 @@ mod tests {
     use crate::test_helpers::{alice_keypair, ctx};
     use ppds_transport::duplex;
 
+    /// One comparison: the one-item batch.
     fn run(comparator: Comparator, a: i64, b: i64, op: CmpOp, domain: ComparisonDomain) -> bool {
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            compare_alice(
-                comparator,
-                &mut achan,
-                alice_keypair(),
-                a,
-                op,
-                &domain,
-                false,
-                &ctx(500),
-            )
-            .unwrap()
-        });
-        let bob_view = compare_bob(
-            comparator,
-            &mut bchan,
-            &alice_keypair().public,
-            b,
-            op,
-            &domain,
-            false,
-            &ctx(501),
-        )
-        .unwrap();
-        let alice_view = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view, "views must agree");
-        alice_view
+        run_batch(comparator, &[(a, b)], op, domain).0[0]
     }
 
     #[test]
@@ -616,11 +436,11 @@ mod tests {
         let domain = ComparisonDomain::symmetric(5);
         let (mut achan, _b) = duplex();
         assert!(matches!(
-            compare_alice(
+            compare_batch_alice(
                 Comparator::Ideal,
                 &mut achan,
                 alice_keypair(),
-                6,
+                &[6],
                 CmpOp::Lt,
                 &domain,
                 false,
@@ -641,75 +461,49 @@ mod tests {
 
     #[test]
     fn share_comparison_matches_plain() {
+        // dist_a = 7 (u=50, v=43), dist_b = 12 (u=20, v=8), faithful Yao.
         let domain = ComparisonDomain::symmetric(100);
-        // dist_a = 7 (u=50, v=43), dist_b = 12 (u=20, v=8)
-        let (u_a, v_a) = (50i64, 43i64);
-        let (u_b, v_b) = (20i64, 8i64);
         let (mut achan, mut bchan) = duplex();
         let alice = std::thread::spawn(move || {
-            share_less_than_alice(
+            share_less_than_batch_alice(
                 Comparator::Yao,
                 &mut achan,
                 alice_keypair(),
-                u_a,
-                u_b,
+                &[(50, 20)],
                 &domain,
                 false,
                 &ctx(2),
             )
             .unwrap()
         });
-        let bob_view = share_less_than_bob(
+        let bob_view = share_less_than_batch_bob(
             Comparator::Yao,
             &mut bchan,
             &alice_keypair().public,
-            v_a,
-            v_b,
+            &[(43, 8)],
             &domain,
             false,
             &ctx(3),
         )
         .unwrap();
-        let alice_view = alice.join().unwrap();
-        assert!(alice_view, "7 < 12");
-        assert!(bob_view);
+        assert_eq!(alice.join().unwrap(), vec![true], "7 < 12");
+        assert_eq!(bob_view, vec![true]);
     }
 
     #[test]
     fn ideal_traffic_matches_yao_traffic() {
         // The Ideal comparator must charge the transcript the same bytes the
-        // faithful protocol produces (within BigUint minimal-length noise).
+        // faithful protocol produces (within BigUint minimal-length and
+        // batch-count noise).
         let domain = ComparisonDomain::symmetric(16);
-        let mut totals = Vec::new();
-        for comparator in [Comparator::Yao, Comparator::Ideal] {
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                compare_alice(
-                    comparator,
-                    &mut achan,
-                    alice_keypair(),
-                    3,
-                    CmpOp::Lt,
-                    &domain,
-                    false,
-                    &ctx(7),
-                )
-                .unwrap();
-                achan.metrics().total_bytes()
-            });
-            compare_bob(
-                comparator,
-                &mut bchan,
-                &alice_keypair().public,
-                5,
-                CmpOp::Lt,
-                &domain,
-                false,
-                &ctx(8),
-            )
-            .unwrap();
-            totals.push(alice.join().unwrap() as f64);
-        }
+        let totals: Vec<f64> = [Comparator::Yao, Comparator::Ideal]
+            .into_iter()
+            .map(|comparator| {
+                run_batch(comparator, &[(3, 5)], CmpOp::Lt, domain)
+                    .1
+                    .total_bytes() as f64
+            })
+            .collect();
         let (yao, ideal) = (totals[0], totals[1]);
         let rel_err = (yao - ideal).abs() / yao;
         assert!(rel_err < 0.05, "yao = {yao}, ideal = {ideal}");
@@ -778,7 +572,7 @@ mod tests {
         let pairs: Vec<(i64, i64)> = (0..20).map(|i| (i % 7 - 3, (i % 5) - 2)).collect();
         for comparator in [Comparator::Ideal, Comparator::Dgk] {
             let (_, m) = run_batch(comparator, &pairs, CmpOp::Lt, domain);
-            // 3 frames for 20 comparisons; unbatched would be 60 rounds.
+            // 3 frames for 20 comparisons; 3 logical messages per comparison.
             assert_eq!(m.total_rounds(), 3, "{comparator:?}");
             assert_eq!(m.total_messages(), 3 * pairs.len() as u64, "{comparator:?}");
         }

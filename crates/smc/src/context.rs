@@ -4,11 +4,9 @@
 //! every draw site. That made the *position* of every draw depend on every
 //! draw before it: value-dependent sampling (DGK mask rejection loops,
 //! Paillier nonce generation, Yao prime search) shifted the stream, so two
-//! executions that perform the same logical work in a different *order* —
-//! a batched and an unbatched neighborhood query, say — diverged in every
-//! subsequent random value. The round-batching pipeline had to reproduce
-//! draw order exactly, and one case (batched HDP + DGK) structurally could
-//! not (the old DESIGN.md §7 "known gap").
+//! executions that perform the same logical work in a different *order*
+//! diverged in every subsequent random value, and batch items could not be
+//! evaluated out of order.
 //!
 //! A [`ProtocolContext`] replaces the threaded stream with *keyed
 //! derivation*, the pattern production MPC systems use (cf. IPA's
@@ -24,17 +22,15 @@
 //! 3. a **record index** ([`ProtocolContext::rng_for`]).
 //!
 //! `ctx.narrow("hdp.mul").rng_for(record)` therefore yields the same
-//! stream no matter when, in what order, or on which thread it is drawn.
-//! Batched and unbatched executions produce byte-identical randomness *by
-//! construction*, and independent records can be evaluated out of order or
-//! in parallel (see [`crate::parallel`]).
+//! stream no matter when, in what order, or on which thread it is drawn,
+//! so independent records can be evaluated out of order or in parallel
+//! (see [`crate::parallel`]).
 //!
 //! Derivation is a SplitMix64-style hash chain over the existing RNG
 //! machinery — no new dependencies, and the leaf generator is still the
 //! workspace [`StdRng`]. The identity
-//! `ctx.rng_for(i) ≡ ctx.at(i).rng()` holds by definition, so a batch
-//! entry point keying items by index is interchangeable with a sequential
-//! caller scoping each call with [`ProtocolContext::at`].
+//! `ctx.rng_for(i) ≡ ctx.at(i).rng()` holds by definition: batch item `i`
+//! draws exactly what a scope `ctx.at(i)` would.
 //!
 //! Collision caveat: keys and leaf seeds are 64-bit (the width
 //! [`StdRng::seed_from_u64`] accepts, and the width every session seed in
@@ -56,8 +52,8 @@ pub const RANDOMNESS_DISCIPLINE: &str = "keyed-v1";
 
 /// Index of one record (comparison, candidate point, ciphertext group)
 /// within a protocol step. Plain `u64` — steps key their items by position
-/// in the candidate set, which both framings of a batched protocol agree
-/// on by construction.
+/// in the candidate set (or by a stable record id), which both parties
+/// agree on by construction.
 pub type RecordId = u64;
 
 /// SplitMix64 finalizer: a cheap 64-bit permutation with full avalanche,

@@ -157,8 +157,9 @@ impl LeakageEvent {
 /// prescribed output.
 ///
 /// `PartialEq` compares full event sequences in order — the relation the
-/// batching-parity tests use to assert that round batching widens leakage
-/// by nothing (identical events, identical order, identical payloads).
+/// parity tests use to assert that a transport or substrate choice widens
+/// leakage by nothing (identical events, identical order, identical
+/// payloads).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LeakageLog {
     events: Vec<LeakageEvent>,

@@ -29,7 +29,10 @@
 //!
 //! Every protocol is written as two symmetric halves (`*_keyholder` for the
 //! party holding the decryption key, `*_peer` for the other) exchanging
-//! typed messages over a [`ppds_transport::Channel`].
+//! typed messages over a [`ppds_transport::Channel`]. Each primitive has
+//! one framing: it takes a set of independent items and ships each
+//! protocol message as one wire frame for the whole set, so a single
+//! operation is the one-item batch (DESIGN.md §7).
 //! [`leakage::LeakageLog`] captures each value a protocol deliberately
 //! reveals, so callers can assert an execution leaked exactly what the
 //! paper's theorems permit.
@@ -37,8 +40,7 @@
 //! Randomness is supplied through [`context::ProtocolContext`]: every
 //! entry point takes a record-scoped context and derives keyed substreams
 //! (session seed → step → instance → record) instead of threading one
-//! sequential generator, so draws are independent of execution order —
-//! batched and unbatched framings produce byte-identical transcripts, and
+//! sequential generator, so draws are independent of execution order and
 //! batch items evaluate in parallel on the [`parallel`] worker pool
 //! without changing a single output byte.
 

@@ -19,13 +19,11 @@
 //! which every caller in this workspace guarantees by construction (lattice
 //! coordinates and masks are tiny relative to ≥ 2^255).
 //!
-//! Randomness: every entry point takes a record-scoped
-//! [`ProtocolContext`] instead of a threaded generator. A single-group
-//! call draws from `ctx.rng()`; the `mul_batches_*` forms key each group
-//! through a caller-supplied scope (`scopes(g)`), so the batched run
-//! derives exactly the streams the per-group sequential calls would — and
-//! the per-group ciphertext work can run on the [`crate::parallel`] pool
-//! without changing a byte.
+//! Randomness: every entry point takes a [`ProtocolContext`] instead of a
+//! threaded generator. The `mul_batches_*` forms key each group through a
+//! caller-supplied scope (`scopes(g)`) and `dot_many_peer` keys row `j` as
+//! `ctx.rng_for(j)`, so the per-group ciphertext work can run on the
+//! [`crate::parallel`] pool without changing a byte.
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
@@ -138,157 +136,16 @@ pub fn sample_mask<R: Rng>(mut rng: R, bound: &BigUint) -> BigInt {
     &BigInt::from(raw) - &BigInt::from(bound.clone())
 }
 
-/// Keyholder side of Algorithm 2: inputs `x`, learns `u = x·y + v`.
-pub fn mul_keyholder<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    x: &BigInt,
-    ctx: &ProtocolContext,
-) -> Result<BigInt, SmcError> {
-    let mut rng = ctx.rng();
-    // Step 3: send E_A(x). (Fresh secret nonce; see crate docs of
-    // ppds-paillier for why the printed protocol's shared-r is not followed.)
-    let cx = keypair.public.encrypt_signed(x, &mut rng)?;
-    chan.send(cx.as_biguint())?;
-    // Step 6-7: receive u' and decrypt.
-    let u_prime = Ciphertext::from_biguint(chan.recv()?);
-    Ok(keypair.private.decrypt_signed(&u_prime)?)
-}
-
-/// Peer side of Algorithm 2: inputs `y`, draws `v` uniform in
-/// `[-mask_bound, mask_bound]`, returns the `v` it used.
-pub fn mul_peer<C: Channel>(
-    chan: &mut C,
-    keyholder_pk: &PublicKey,
-    y: &BigInt,
-    mask_bound: &BigUint,
-    ctx: &ProtocolContext,
-) -> Result<BigInt, SmcError> {
-    let mut rng = ctx.rng();
-    let cx = Ciphertext::from_biguint(chan.recv()?);
-    keyholder_pk.validate(&cx)?;
-    // Step 4-5: v random; u' = E(x)^y · E(v).
-    let v = sample_mask(&mut rng, mask_bound);
-    let xy = keyholder_pk.mul_plain_signed(&cx, y);
-    let u_prime = keyholder_pk.add(&xy, &keyholder_pk.encrypt_signed(&v, &mut rng)?);
-    chan.send(u_prime.as_biguint())?;
-    Ok(v)
-}
-
-/// Keyholder side of the batched per-element protocol: inputs
-/// `x_1, …, x_m`, learns `u_i = x_i·y_i + v_i` for each `i`.
+/// Keyholder side of Algorithm 2 over many multiplication groups: one
+/// group of inputs `x_{g,1}, …, x_{g,m}` per logical multiplication batch
+/// (e.g. one group per candidate pair of a neighborhood query), all groups'
+/// ciphertexts in **one** wire frame each direction. Returns
+/// `u_{g,i} = x_{g,i}·y_{g,i} + v_{g,i}` per group. A single product is the
+/// one-group, one-element case.
 ///
-/// This is protocol HDP's usage: `m` runs of Algorithm 2 fused into one
-/// message round-trip (same ciphertext count, fewer frames). `ctx` is the
-/// record scope of this group — all `m` elements draw sequentially from
-/// its leaf stream.
-pub fn mul_batch_keyholder<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    xs: &[BigInt],
-    packing: Option<&ResponsePacking>,
-    ctx: &ProtocolContext,
-) -> Result<Vec<BigInt>, SmcError> {
-    let mut rng = ctx.rng();
-    let cts: Vec<BigUint> = xs
-        .iter()
-        .map(|x| {
-            keypair
-                .public
-                .encrypt_signed(x, &mut rng)
-                .map(|c| c.as_biguint().clone())
-        })
-        .collect::<Result<_, _>>()?;
-    chan.send(&cts)?;
-    let responses: Vec<BigUint> = chan.recv()?;
-    if let Some(packing) = packing {
-        // Packed reply: ⌈m/capacity⌉ words, one CRT decryption each.
-        return packing.unpack_signed(keypair, &responses, xs.len());
-    }
-    if responses.len() != xs.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} masked products, got {}",
-            xs.len(),
-            responses.len()
-        )));
-    }
-    responses
-        .into_iter()
-        .map(|c| {
-            Ok(keypair
-                .private
-                .decrypt_signed(&Ciphertext::from_biguint(c))?)
-        })
-        .collect()
-}
-
-/// Peer side of [`mul_batch_keyholder`]: inputs `y_i` and caller-chosen
-/// masks `v_i` (HDP passes blinding terms with `Σ v_i = 0`).
-pub fn mul_batch_peer<C: Channel>(
-    chan: &mut C,
-    keyholder_pk: &PublicKey,
-    ys: &[BigInt],
-    masks: &[BigInt],
-    packing: Option<&ResponsePacking>,
-    ctx: &ProtocolContext,
-) -> Result<(), SmcError> {
-    assert_eq!(ys.len(), masks.len(), "one mask per multiplicand");
-    let cts: Vec<BigUint> = chan.recv()?;
-    if cts.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} ciphertexts, got {}",
-            ys.len(),
-            cts.len()
-        )));
-    }
-    let cxs: Vec<Ciphertext> = cts.into_iter().map(Ciphertext::from_biguint).collect();
-    // Batch validation: one Montgomery batch inversion over the group
-    // instead of one GCD per ciphertext.
-    keyholder_pk.validate_many(&cxs)?;
-    if let Some(packing) = packing {
-        // Packed reply: the products E(x·y) ride shifted slots and the
-        // masks travel as the packed word's plaintext addends — one fresh
-        // nonce per word instead of one encryption per element.
-        let products: Vec<Ciphertext> = cxs
-            .iter()
-            .zip(ys)
-            .map(|(cx, y)| keyholder_pk.mul_plain_signed(cx, y))
-            .collect();
-        let plains: Vec<BigUint> = masks
-            .iter()
-            .map(|v| packing.slot_plain(v))
-            .collect::<Result<_, _>>()?;
-        let words = keyholder_pk.pack_ciphertexts(
-            &packing.layout,
-            &products,
-            &plains,
-            &mut ctx.narrow("pack").rng(),
-        )?;
-        let wire: Vec<BigUint> = words.iter().map(|c| c.as_biguint().clone()).collect();
-        chan.send(&wire)?;
-        return Ok(());
-    }
-    let mut rng = ctx.rng();
-    let mut responses = Vec::with_capacity(cxs.len());
-    for ((cx, y), v) in cxs.iter().zip(ys).zip(masks) {
-        let xy = keyholder_pk.mul_plain_signed(cx, y);
-        let masked = keyholder_pk.add(&xy, &keyholder_pk.encrypt_signed(v, &mut rng)?);
-        responses.push(masked.as_biguint().clone());
-    }
-    chan.send(&responses)?;
-    Ok(())
-}
-
-/// Round-batched keyholder side of many [`mul_batch_keyholder`] runs: one
-/// group of inputs per logical multiplication batch (e.g. one group per
-/// candidate pair of a neighborhood query), all groups' ciphertexts packed
-/// into **one** wire frame each direction instead of one frame pair per
-/// group. Returns `u_{g,i} = x_{g,i}·y_{g,i} + v_{g,i}` per group.
-///
-/// `scopes(g)` is the record scope of group `g` — the same context a
-/// sequential caller would hand the `g`-th [`mul_batch_keyholder`] call —
-/// so the batched run draws byte-identical randomness, and the per-group
-/// encryption/decryption work runs on the [`crate::parallel`] pool.
+/// `scopes(g)` is the record scope of group `g`; its leaf stream encrypts
+/// the group's inputs, so the per-group encryption/decryption work runs on
+/// the [`crate::parallel`] pool without changing a byte.
 pub fn mul_batches_keyholder<C, S>(
     chan: &mut C,
     keypair: &Keypair,
@@ -364,14 +221,12 @@ where
     Ok(out)
 }
 
-/// Round-batched peer side of [`mul_batches_keyholder`]: one coefficient
-/// group per logical batch. `draw_masks(g)` produces group `g`'s masks
-/// from the caller's own keyed streams, and `scopes(g)` is the record
-/// scope whose leaf stream encrypts them — identical to what the
-/// sequential [`mul_batch_peer`] call for group `g` would use, so batched
-/// and unbatched transcripts match byte for byte while the homomorphic
-/// work fans out on the [`crate::parallel`] pool. Returns the masks drawn
-/// per group.
+/// Peer side of [`mul_batches_keyholder`]: one coefficient group per
+/// logical batch. `draw_masks(g)` produces group `g`'s masks `v_{g,i}`
+/// from the caller's own keyed streams (HDP passes blinding terms with
+/// `Σ_i v_{g,i} = 0`), and `scopes(g)` is the record scope whose leaf
+/// stream encrypts them, so the homomorphic work fans out on the
+/// [`crate::parallel`] pool. Returns the masks drawn per group.
 ///
 /// Groups are any slice-like coefficient vectors, so a caller multiplying
 /// one vector against many peer groups (HDP's neighborhood query) can pass
@@ -479,65 +334,6 @@ where
     chan.send_batch(&responses)?;
     span.end(|| chan.metrics());
     Ok(all_masks)
-}
-
-/// Keyholder side of the dot-product protocol (§5): inputs the vector
-/// `x_1, …, x_m`, learns `u = Σ x_i·y_i + v`.
-///
-/// The enhanced protocol calls this with Alice's vector
-/// `(ΣA_k², -2A_1, …, -2A_m, 1)` so that `u = Dist²(A, B_i) + v_i`.
-pub fn dot_keyholder<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    xs: &[BigInt],
-    ctx: &ProtocolContext,
-) -> Result<BigInt, SmcError> {
-    let mut rng = ctx.rng();
-    let cts: Vec<BigUint> = xs
-        .iter()
-        .map(|x| {
-            keypair
-                .public
-                .encrypt_signed(x, &mut rng)
-                .map(|c| c.as_biguint().clone())
-        })
-        .collect::<Result<_, _>>()?;
-    chan.send(&cts)?;
-    let u_prime = Ciphertext::from_biguint(chan.recv()?);
-    Ok(keypair.private.decrypt_signed(&u_prime)?)
-}
-
-/// Peer side of [`dot_keyholder`]: inputs `y_1, …, y_m` and the mask bound;
-/// returns the `v` it drew.
-pub fn dot_peer<C: Channel>(
-    chan: &mut C,
-    keyholder_pk: &PublicKey,
-    ys: &[BigInt],
-    mask_bound: &BigUint,
-    ctx: &ProtocolContext,
-) -> Result<BigInt, SmcError> {
-    let mut rng = ctx.rng();
-    let cts: Vec<BigUint> = chan.recv()?;
-    if cts.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "dot product arity mismatch: {} ciphertexts vs {} coefficients",
-            cts.len(),
-            ys.len()
-        )));
-    }
-    let v = sample_mask(&mut rng, mask_bound);
-    // Accumulate Π E(x_i)^{y_i} · E(v) = E(Σ x_i y_i + v).
-    let mut acc = keyholder_pk.encrypt_signed(&v, &mut rng)?;
-    for (ct, y) in cts.into_iter().zip(ys) {
-        if y.is_zero() {
-            continue; // E(x)^0 contributes nothing
-        }
-        let cx = Ciphertext::from_biguint(ct);
-        keyholder_pk.validate(&cx)?;
-        acc = keyholder_pk.add(&acc, &keyholder_pk.mul_plain_signed(&cx, y));
-    }
-    chan.send(acc.as_biguint())?;
-    Ok(v)
 }
 
 /// Keyholder side of the one-query/many-responses dot product used by the
@@ -705,21 +501,49 @@ mod tests {
         BigInt::from_i64(v)
     }
 
-    /// Runs keyholder in a thread, peer on the caller thread.
-    fn run_single(x: i64, y: i64, mask_bound: u64) -> (BigInt, BigInt) {
+    /// Runs the keyholder in a thread and the peer (with explicit per-group
+    /// masks) on the caller thread; returns the keyholder's outputs and
+    /// channel metrics.
+    fn run_with_masks(
+        xs_groups: &[Vec<BigInt>],
+        ys_groups: &[Vec<BigInt>],
+        masks: &[Vec<BigInt>],
+        packing: Option<ResponsePacking>,
+    ) -> (Vec<Vec<BigInt>>, ppds_transport::MetricsSnapshot) {
         let (mut kchan, mut pchan) = duplex();
+        let xs2 = xs_groups.to_vec();
+        let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
-            mul_keyholder(&mut kchan, bob_keypair(), &bi(x), &ctx(1)).unwrap()
+            let kctx = ctx(4);
+            let us = mul_batches_keyholder(
+                &mut kchan,
+                bob_keypair(),
+                &xs2,
+                |g| kctx.at(g as u64),
+                p2.as_ref(),
+            )
+            .unwrap();
+            (us, kchan.metrics())
         });
-        let v = mul_peer(
+        let pctx = ctx(5);
+        mul_batches_peer(
             &mut pchan,
             &bob_keypair().public,
-            &bi(y),
-            &BigUint::from_u64(mask_bound),
-            &ctx(2),
+            ys_groups,
+            |g| masks[g].clone(),
+            |g| pctx.at(g as u64),
+            packing.as_ref(),
         )
         .unwrap();
-        (keyholder.join().unwrap(), v)
+        keyholder.join().unwrap()
+    }
+
+    /// Algorithm 2 for one product: the one-group, one-element batch, the
+    /// peer's mask drawn uniform in `[-mask_bound, mask_bound]`.
+    fn run_single(x: i64, y: i64, mask_bound: u64) -> (BigInt, BigInt) {
+        let v = sample_mask(ctx(2).rng(), &BigUint::from_u64(mask_bound));
+        let (us, _) = run_with_masks(&[vec![bi(x)]], &[vec![bi(y)]], &[vec![v.clone()]], None);
+        (us[0][0].clone(), v)
     }
 
     #[test]
@@ -763,25 +587,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_singles() {
+    fn one_group_products_telescope_to_the_inner_product() {
         let xs: Vec<BigInt> = [3i64, -1, 0, 12].iter().map(|&v| bi(v)).collect();
         let ys: Vec<BigInt> = [5i64, 5, -9, 2].iter().map(|&v| bi(v)).collect();
         let masks = vec![bi(10), bi(-4), bi(0), bi(-6)]; // Σ = 0
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs.clone();
-        let keyholder = std::thread::spawn(move || {
-            mul_batch_keyholder(&mut kchan, bob_keypair(), &xs2, None, &ctx(4)).unwrap()
-        });
-        mul_batch_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys,
-            &masks,
+        let (us, _) = run_with_masks(
+            std::slice::from_ref(&xs),
+            std::slice::from_ref(&ys),
+            std::slice::from_ref(&masks),
             None,
-            &ctx(5),
-        )
-        .unwrap();
-        let us = keyholder.join().unwrap();
+        );
+        let us = &us[0];
         for i in 0..xs.len() {
             let expect = &(&xs[i] * &ys[i]) + &masks[i];
             assert_eq!(us[i], expect, "element {i}");
@@ -835,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_groups_match_singles_in_two_rounds() {
+    fn batched_groups_match_products_in_two_rounds() {
         // Three logical multiplication batches of different sizes, one wire
         // frame each way.
         let xs_groups: Vec<Vec<BigInt>> =
@@ -858,56 +674,6 @@ mod tests {
                 .fold(BigInt::zero(), |acc, (x, y)| &acc + &(x * y));
             assert_eq!(sum, ip, "group {g}");
         }
-    }
-
-    #[test]
-    fn batched_groups_equal_sequential_group_calls_byte_for_byte() {
-        // The keyed-substream discipline's core promise at this layer: the
-        // batched run and per-group sequential calls with the same scopes
-        // produce identical ciphertext streams — masks and all.
-        let xs_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(3), bi(-1)], vec![bi(7)], vec![bi(0), bi(2)]];
-        let ys_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(5), bi(5)], vec![bi(-2)], vec![bi(1), bi(4)]];
-        let (us_b, masks_b, _) = run_batched_groups(&xs_groups, &ys_groups, 30, 31);
-
-        // Sequential: one mul_batch_* exchange per group, scoped at(g).
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs_groups.clone();
-        let keyholder = std::thread::spawn(move || {
-            let kctx = ctx(30).narrow("mul");
-            xs2.iter()
-                .enumerate()
-                .map(|(g, xs)| {
-                    mul_batch_keyholder(&mut kchan, bob_keypair(), xs, None, &kctx.at(g as u64))
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        });
-        let pctx = ctx(31);
-        let mask_ctx = pctx.narrow("mask");
-        let mul_ctx = pctx.narrow("mul");
-        let mut masks_s = Vec::new();
-        for (g, ys) in ys_groups.iter().enumerate() {
-            let masks = zero_sum_masks(
-                mask_ctx.rng_for(g as u64),
-                ys.len(),
-                &BigUint::from_u64(1000),
-            );
-            mul_batch_peer(
-                &mut pchan,
-                &bob_keypair().public,
-                ys,
-                &masks,
-                None,
-                &mul_ctx.at(g as u64),
-            )
-            .unwrap();
-            masks_s.push(masks);
-        }
-        let us_s = keyholder.join().unwrap();
-        assert_eq!(us_b, us_s, "masked products identical across framings");
-        assert_eq!(masks_b, masks_s, "mask draws identical across framings");
     }
 
     #[test]
@@ -962,39 +728,60 @@ mod tests {
         let _ = keyholder.join();
     }
 
-    #[test]
-    fn dot_product_identity() {
-        let xs: Vec<BigInt> = [2i64, -3, 4].iter().map(|&v| bi(v)).collect();
-        let ys: Vec<BigInt> = [10i64, 1, -2].iter().map(|&v| bi(v)).collect();
+    /// Runs one `dot_many` exchange; returns the keyholder's shares, the
+    /// peer's masks, and the keyholder's received bytes.
+    fn run_dot_many(
+        xs: &[BigInt],
+        ys_rows: &[Vec<BigInt>],
+        mask_bound: &BigUint,
+        packing: Option<ResponsePacking>,
+    ) -> (Vec<BigInt>, Vec<BigInt>, u64) {
         let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs.clone();
+        let xs2 = xs.to_vec();
+        let rows = ys_rows.len();
+        let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
-            dot_keyholder(&mut kchan, bob_keypair(), &xs2, &ctx(6)).unwrap()
+            let out =
+                dot_many_keyholder(&mut kchan, bob_keypair(), &xs2, rows, p2.as_ref(), &ctx(12))
+                    .unwrap();
+            (out, kchan.metrics().bytes_received)
         });
-        let v = dot_peer(
+        let masks = dot_many_peer(
             &mut pchan,
             &bob_keypair().public,
-            &ys,
-            &BigUint::from_u64(1 << 20),
-            &ctx(7),
+            ys_rows,
+            mask_bound,
+            packing.as_ref(),
+            &ctx(13),
         )
         .unwrap();
-        let u = keyholder.join().unwrap();
-        assert_eq!(&u - &v, bi(20 - 3 - 8));
+        let (us, reply_bytes) = keyholder.join().unwrap();
+        (us, masks, reply_bytes)
+    }
+
+    #[test]
+    fn dot_product_identity() {
+        // One row: the single dot product u = Σ x_i·y_i + v.
+        let xs: Vec<BigInt> = [2i64, -3, 4].iter().map(|&v| bi(v)).collect();
+        let ys: Vec<BigInt> = [10i64, 1, -2].iter().map(|&v| bi(v)).collect();
+        let (us, masks, _) = run_dot_many(&xs, &[ys], &BigUint::from_u64(1 << 20), None);
+        assert_eq!(&us[0] - &masks[0], bi(20 - 3 - 8));
     }
 
     #[test]
     fn dot_arity_mismatch_is_protocol_error() {
         let (mut kchan, mut pchan) = duplex();
         let keyholder = std::thread::spawn(move || {
-            // Keyholder sends 2 ciphertexts; peer expects 3.
-            let _ = dot_keyholder(&mut kchan, bob_keypair(), &[bi(1), bi(2)], &ctx(8));
+            // Keyholder sends 2 ciphertexts; the peer's row has 3.
+            let _ =
+                dot_many_keyholder(&mut kchan, bob_keypair(), &[bi(1), bi(2)], 1, None, &ctx(8));
         });
-        let err = dot_peer(
+        let err = dot_many_peer(
             &mut pchan,
             &bob_keypair().public,
-            &[bi(1), bi(2), bi(3)],
+            &[vec![bi(1), bi(2), bi(3)]],
             &BigUint::from_u64(10),
+            None,
             &ctx(9),
         )
         .unwrap_err();
@@ -1003,12 +790,9 @@ mod tests {
         let _ = keyholder.join();
     }
 
-    #[test]
-    fn dot_many_computes_all_squared_distances() {
+    fn distance_rows(a: [i64; 2], bobs: &[[i64; 2]]) -> (Vec<BigInt>, Vec<Vec<BigInt>>) {
         // The §5 usage: Alice's vector (ΣA², -2A_1, -2A_2, 1) against Bob's
         // rows (1, B_1, B_2, ΣB²) yields dist²(A, B_j) + v_j.
-        let a = [3i64, 4i64];
-        let bobs = [[0i64, 0i64], [3, 0], [6, 8]];
         let a_norm = a.iter().map(|x| x * x).sum::<i64>();
         let xs: Vec<BigInt> = [a_norm, -2 * a[0], -2 * a[1], 1]
             .iter()
@@ -1021,22 +805,13 @@ mod tests {
                 vec![bi(1), bi(b[0]), bi(b[1]), bi(b_norm)]
             })
             .collect();
+        (xs, ys_rows)
+    }
 
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs.clone();
-        let keyholder = std::thread::spawn(move || {
-            dot_many_keyholder(&mut kchan, bob_keypair(), &xs2, 3, None, &ctx(12)).unwrap()
-        });
-        let masks = dot_many_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys_rows,
-            &BigUint::from_u64(1 << 16),
-            None,
-            &ctx(13),
-        )
-        .unwrap();
-        let us = keyholder.join().unwrap();
+    #[test]
+    fn dot_many_computes_all_squared_distances() {
+        let (xs, ys_rows) = distance_rows([3, 4], &[[0, 0], [3, 0], [6, 8]]);
+        let (us, masks, _) = run_dot_many(&xs, &ys_rows, &BigUint::from_u64(1 << 16), None);
         let expect = [25i64, 16, 25]; // dist²((3,4), ·)
         for j in 0..3 {
             assert_eq!(&us[j] - &masks[j], bi(expect[j]), "point {j}");
@@ -1053,7 +828,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_batch_matches_unpacked_values_with_fewer_ciphertexts() {
+    fn packed_group_matches_products_with_one_reply_word() {
         let xs: Vec<BigInt> = [3i64, -1, 0, 12, 7, -9].iter().map(|&v| bi(v)).collect();
         let ys: Vec<BigInt> = [5i64, 5, -9, 2, -2, 4].iter().map(|&v| bi(v)).collect();
         let masks = vec![bi(10), bi(-4), bi(0), bi(-6), bi(3), bi(-3)]; // Σ = 0
@@ -1063,30 +838,21 @@ mod tests {
             "{:?}",
             packing.layout
         );
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs.clone();
-        let p2 = packing.clone();
-        let keyholder = std::thread::spawn(move || {
-            let out =
-                mul_batch_keyholder(&mut kchan, bob_keypair(), &xs2, Some(&p2), &ctx(4)).unwrap();
-            (out, kchan.metrics().messages_received)
-        });
-        mul_batch_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys,
-            &masks,
-            Some(&packing),
-            &ctx(5),
-        )
-        .unwrap();
-        let (us, replies) = keyholder.join().unwrap();
+        let (us, metrics) = run_with_masks(
+            std::slice::from_ref(&xs),
+            std::slice::from_ref(&ys),
+            std::slice::from_ref(&masks),
+            Some(packing),
+        );
         for i in 0..xs.len() {
             let expect = &(&xs[i] * &ys[i]) + &masks[i];
-            assert_eq!(us[i], expect, "element {i}");
+            assert_eq!(us[0][i], expect, "element {i}");
         }
         // All six masked products rode one packed word.
-        assert_eq!(replies, 1, "one reply message carrying one word");
+        assert_eq!(
+            metrics.messages_received, 1,
+            "one reply message carrying one word"
+        );
     }
 
     #[test]
@@ -1140,48 +906,13 @@ mod tests {
 
     #[test]
     fn packed_dot_many_matches_unpacked_shares() {
-        let a = [3i64, 4i64];
-        let bobs = [[0i64, 0i64], [3, 0], [6, 8], [1, 2], [5, 5]];
-        let a_norm = a.iter().map(|x| x * x).sum::<i64>();
-        let xs: Vec<BigInt> = [a_norm, -2 * a[0], -2 * a[1], 1]
-            .iter()
-            .map(|&v| bi(v))
-            .collect();
-        let ys_rows: Vec<Vec<BigInt>> = bobs
-            .iter()
-            .map(|b| {
-                let b_norm = b.iter().map(|x| x * x).sum::<i64>();
-                vec![bi(1), bi(b[0]), bi(b[1]), bi(b_norm)]
-            })
-            .collect();
+        let (xs, ys_rows) = distance_rows([3, 4], &[[0, 0], [3, 0], [6, 8], [1, 2], [5, 5]]);
         let mask_bound = BigUint::from_u64(1 << 16);
         // Offset must cover dist² + mask: dist² ≤ 200 here, mask ≤ 2^16.
         let packing = test_packing((1 << 16) + 200);
-
-        let run = |packing: Option<ResponsePacking>| {
-            let (mut kchan, mut pchan) = duplex();
-            let xs2 = xs.clone();
-            let p2 = packing.clone();
-            let keyholder = std::thread::spawn(move || {
-                let out =
-                    dot_many_keyholder(&mut kchan, bob_keypair(), &xs2, 5, p2.as_ref(), &ctx(12))
-                        .unwrap();
-                (out, kchan.metrics().bytes_received)
-            });
-            let masks = dot_many_peer(
-                &mut pchan,
-                &bob_keypair().public,
-                &ys_rows,
-                &mask_bound,
-                packing.as_ref(),
-                &ctx(13),
-            )
-            .unwrap();
-            let (us, reply_bytes) = keyholder.join().unwrap();
-            (us, masks, reply_bytes)
-        };
-        let (us_plain, masks_plain, bytes_plain) = run(None);
-        let (us_packed, masks_packed, bytes_packed) = run(Some(packing));
+        let (us_plain, masks_plain, bytes_plain) = run_dot_many(&xs, &ys_rows, &mask_bound, None);
+        let (us_packed, masks_packed, bytes_packed) =
+            run_dot_many(&xs, &ys_rows, &mask_bound, Some(packing));
         // Same keyed mask streams → identical shares on both sides.
         assert_eq!(masks_packed, masks_plain);
         assert_eq!(us_packed, us_plain);
@@ -1195,6 +926,21 @@ mod tests {
         );
     }
 
+    /// A peer facing one hand-injected single-ciphertext group.
+    fn peer_against(ct: BigUint, mask: i64, packing: Option<&ResponsePacking>) -> SmcError {
+        let (mut kchan, mut pchan) = duplex();
+        kchan.send_batch(&[vec![ct]]).unwrap();
+        mul_batches_peer(
+            &mut pchan,
+            &bob_keypair().public,
+            &[vec![bi(1)]],
+            |_| vec![bi(mask)],
+            |g| ctx(9).at(g as u64),
+            packing,
+        )
+        .unwrap_err()
+    }
+
     #[test]
     fn packed_mask_below_offset_is_protocol_error() {
         // offset 4 cannot absorb a mask of magnitude up to 1000.
@@ -1202,26 +948,14 @@ mod tests {
             layout: SlotLayout::new(bob_keypair().public.bits(), 24).unwrap(),
             offset: BigUint::from_u64(4),
         };
-        let (mut kchan, mut pchan) = duplex();
-        let keyholder = std::thread::spawn(move || {
-            let _ = kchan.send(&vec![bob_keypair()
-                .public
-                .encrypt_signed(&bi(1), &mut crate::test_helpers::rng(7))
-                .unwrap()
-                .as_biguint()
-                .clone()]);
-        });
-        let err = mul_batch_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &[bi(1)],
-            &[bi(-1000)],
-            Some(&packing),
-            &ctx(9),
-        )
-        .unwrap_err();
+        let ct = bob_keypair()
+            .public
+            .encrypt_signed(&bi(1), &mut rng(7))
+            .unwrap()
+            .as_biguint()
+            .clone();
+        let err = peer_against(ct, -1000, Some(&packing));
         assert!(matches!(err, SmcError::Protocol(_)));
-        keyholder.join().unwrap();
     }
 
     #[test]
@@ -1245,17 +979,8 @@ mod tests {
 
     #[test]
     fn peer_rejects_invalid_ciphertext() {
-        let (mut kchan, mut pchan) = duplex();
-        // Hand-inject an invalid "ciphertext" (zero).
-        kchan.send(&BigUint::zero()).unwrap();
-        let err = mul_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &bi(1),
-            &BigUint::from_u64(10),
-            &ctx(11),
-        )
-        .unwrap_err();
+        // A hand-injected invalid "ciphertext" (zero).
+        let err = peer_against(BigUint::zero(), 0, None);
         assert!(matches!(err, SmcError::Crypto(_)));
     }
 }

@@ -5,7 +5,7 @@
 //! implements the three SMC workhorses over additive shares in the ring
 //! `Z_2^64` (wrapping `u64` arithmetic):
 //!
-//! * [`sharing_fold_keyholder_one`] / batch — Beaver-triple inner-product
+//! * [`sharing_fold_keyholder_batch`] / peer — Beaver-triple inner-product
 //!   folds (the `mul_batches` substitute): the keyholder holds `x`, the
 //!   peer holds `y`, the keyholder learns `⟨x, y⟩` at the cost of **one
 //!   element exchange per group** instead of one ciphertext per element,
@@ -14,7 +14,7 @@
 //!   SNIPPETS.md): one masked query vector `D = x − α` amortizes over
 //!   every responder row, so a whole neighborhood's squared distances
 //!   cost one exchange,
-//! * [`sharing_compare_alice`] / bob and the share-compare variants —
+//! * [`sharing_compare_batch_alice`] / bob and the share-compare variants —
 //!   comparison by masked opening of the share difference, with the real
 //!   shared-bit-decomposition cost modeled in the [`SharingLedger`].
 //!
@@ -38,8 +38,7 @@
 //! shipped — `ctx.rekey(tape_seed)` re-bases the caller's keyed-randomness
 //! path ([`crate::context::ProtocolContext`], PR 4) onto the shared seed,
 //! so both parties at the same protocol position derive identical
-//! correlations in any execution order, and batched/unbatched framings
-//! consume identical tape values per record.
+//! correlations in any execution order.
 //!
 //! This is the *fake-offline* benchmarking idiom (MP-SPDZ's insecure
 //! preprocessing): the online transcript — every byte, message, and round
@@ -305,38 +304,10 @@ impl SharingLedger {
 // Masked opening
 // ---------------------------------------------------------------------------
 
-fn open_mask(tape: &DealerTape, ctx: &ProtocolContext) -> Fe {
-    Fe::random(&mut tape.scope(ctx).narrow("open").rng())
-}
-
-/// Opens `value_a + value_b` where Alice holds `value` and Bob holds the
-/// other addend: each side ships its share under a tape-derived zero-share
-/// (`+ρ` here, `−ρ` on Bob's side). Alice sends first.
-fn masked_open_alice<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    value: Fe,
-    ctx: &ProtocolContext,
-) -> Result<Fe, SmcError> {
-    let rho = open_mask(tape, ctx);
-    chan.send(&(value + rho))?;
-    let theirs: Fe = chan.recv()?;
-    Ok(value + rho + theirs)
-}
-
-/// Bob's half of [`masked_open_alice`]: receives first, sends second.
-fn masked_open_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    value: Fe,
-    ctx: &ProtocolContext,
-) -> Result<Fe, SmcError> {
-    let rho = open_mask(tape, ctx);
-    let theirs: Fe = chan.recv()?;
-    chan.send(&(value - rho))?;
-    Ok(value - rho + theirs)
-}
-
+/// Opens `value_a + value_b` per item, where Alice holds `values` and Bob
+/// holds the other addends: each side ships its shares under tape-derived
+/// zero-shares (`+ρ_i` here, `−ρ_i` on Bob's side, item `i` keyed
+/// `rng_for(i)`). Alice sends first.
 fn masked_open_batch_alice<C: Channel>(
     tape: &DealerTape,
     chan: &mut C,
@@ -361,6 +332,7 @@ fn masked_open_batch_alice<C: Channel>(
     Ok(mine.iter().zip(&theirs).map(|(&a, &b)| a + b).collect())
 }
 
+/// Bob's half of [`masked_open_batch_alice`]: receives first, sends second.
 fn masked_open_batch_bob<C: Channel>(
     tape: &DealerTape,
     chan: &mut C,
@@ -396,41 +368,12 @@ fn verdict(v: Fe, op: CmpOp) -> bool {
     }
 }
 
-/// Alice's side of one sharing-backend comparison; returns
-/// `alice_value OP bob_value`. Works over the full 64-bit ring — `domain`
-/// only sizes the modeled bit-decomposition cost in the ledger, unlike the
-/// Paillier path which must encode into `[1, n0]`.
-pub fn sharing_compare_alice<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    value: i64,
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    acct.record_compare(domain);
-    let v = masked_open_alice(tape, chan, Fe::embed(value), ctx)?;
-    Ok(verdict(v, op))
-}
-
-/// Bob's side of [`sharing_compare_alice`].
-pub fn sharing_compare_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    value: i64,
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    acct.record_compare(domain);
-    let v = masked_open_bob(tape, chan, -Fe::embed(value), ctx)?;
-    Ok(verdict(v, op))
-}
-
-/// Round-batched Alice comparisons (one frame each way for the whole set).
-/// Item `i` consumes the tape at `ctx`-index `i`.
+/// Alice's side of a set of sharing-backend comparisons (one frame each way
+/// for the whole set; a single comparison is the one-item batch); returns
+/// `alice_value OP bob_value` per item. Item `i` consumes the tape at
+/// `ctx`-index `i`. Works over the full 64-bit ring — `domain` only sizes
+/// the modeled bit-decomposition cost in the ledger, unlike the Paillier
+/// path which must encode into `[1, n0]`.
 pub fn sharing_compare_batch_alice<C: Channel>(
     tape: &DealerTape,
     chan: &mut C,
@@ -476,42 +419,11 @@ pub fn sharing_compare_batch_bob<C: Channel>(
     Ok(opened.into_iter().map(|v| verdict(v, op)).collect())
 }
 
-/// Share comparison, sharing backend: Alice holds `(u_a, u_b)`, Bob holds
-/// `(v_a, v_b)`, shares of `dist_a = u_a − v_a` and `dist_b = u_b − v_b`;
-/// both learn `dist_a < dist_b`. The share differences are taken
-/// *in-field*, so they never overflow regardless of mask width.
-pub fn sharing_share_less_than_alice<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    u_a: i64,
-    u_b: i64,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    acct.record_compare(domain);
-    let value = Fe::embed(u_a) - Fe::embed(u_b);
-    let v = masked_open_alice(tape, chan, value, ctx)?;
-    Ok(verdict(v, CmpOp::Lt))
-}
-
-/// Bob's half of [`sharing_share_less_than_alice`].
-pub fn sharing_share_less_than_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    v_a: i64,
-    v_b: i64,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    acct.record_compare(domain);
-    let value = Fe::embed(v_b) - Fe::embed(v_a);
-    let v = masked_open_bob(tape, chan, value, ctx)?;
-    Ok(verdict(v, CmpOp::Lt))
-}
-
-/// Round-batched share comparisons (Alice side).
+/// Share comparisons, sharing backend: per pair Alice holds `(u_a, u_b)`,
+/// Bob holds `(v_a, v_b)`, shares of `dist_a = u_a − v_a` and
+/// `dist_b = u_b − v_b`; both learn `dist_a < dist_b`. The share
+/// differences are taken *in-field*, so they never overflow regardless of
+/// mask width.
 pub fn sharing_share_less_than_batch_alice<C: Channel>(
     tape: &DealerTape,
     chan: &mut C,
@@ -586,65 +498,12 @@ fn fold_triple(tape: &DealerTape, ctx: &ProtocolContext, m: usize) -> FoldTriple
     }
 }
 
-/// Keyholder side of one Beaver inner-product fold: holds `xs`, learns
-/// `⟨xs, ys⟩` exactly (the Paillier path's per-element masks are zero-sum,
-/// so its folded result is the same exact inner product — this leaks
-/// nothing the paper's Multiplication Protocol composition doesn't).
-pub fn sharing_fold_keyholder_one<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    xs: &[Fe],
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<Fe, SmcError> {
-    let span = trace::span("mul_batch", || chan.metrics());
-    let trip = fold_triple(tape, ctx, xs.len());
-    let d: Vec<Fe> = xs.iter().zip(&trip.alpha).map(|(&x, &a)| x - a).collect();
-    chan.send(&d)?;
-    let (e, s): (Vec<Fe>, Fe) = chan.recv()?;
-    if e.len() != xs.len() {
-        return Err(SmcError::protocol(format!(
-            "fold: expected {} reply elements, got {}",
-            xs.len(),
-            e.len()
-        )));
-    }
-    acct.record_fold(xs.len());
-    span.end(|| chan.metrics());
-    Ok(fe_dot(xs, &e) + trip.c1 + s)
-}
-
-/// Peer side of [`sharing_fold_keyholder_one`]: holds `ys`, contributes no
-/// net mask (the fold's masks cancel by construction on both backends).
-pub fn sharing_fold_peer_one<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    ys: &[Fe],
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<(), SmcError> {
-    let span = trace::span("mul_batch", || chan.metrics());
-    let trip = fold_triple(tape, ctx, ys.len());
-    let d: Vec<Fe> = chan.recv()?;
-    if d.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "fold: expected {} query elements, got {}",
-            ys.len(),
-            d.len()
-        )));
-    }
-    let e: Vec<Fe> = ys.iter().zip(&trip.beta).map(|(&y, &b)| y - b).collect();
-    let s = fe_dot(&d, &trip.beta) + trip.c2;
-    chan.send(&(e, s))?;
-    acct.record_fold(ys.len());
-    span.end(|| chan.metrics());
-    Ok(())
-}
-
-/// Round-batched keyholder folds: all groups' `D` vectors ship as one
-/// frame, all replies return as one. Group `g` consumes the tape at
-/// `scopes(g)` — the same scope the unbatched caller would pass — so both
-/// framings consume identical correlations.
+/// Keyholder side of the Beaver inner-product folds: holds one vector `xs`
+/// per group and learns `⟨xs, ys⟩` exactly for each (the Paillier path's
+/// per-element masks are zero-sum, so its folded result is the same exact
+/// inner product — this leaks nothing the paper's Multiplication Protocol
+/// composition doesn't). All groups' `D` vectors ship as one frame, all
+/// replies return as one. Group `g` consumes the tape at `scopes(g)`.
 pub fn sharing_fold_keyholder_batch<C: Channel, S: Fn(usize) -> ProtocolContext>(
     tape: &DealerTape,
     chan: &mut C,
@@ -691,7 +550,9 @@ pub fn sharing_fold_keyholder_batch<C: Channel, S: Fn(usize) -> ProtocolContext>
     Ok(out)
 }
 
-/// Peer half of [`sharing_fold_keyholder_batch`].
+/// Peer half of [`sharing_fold_keyholder_batch`]: holds `ys` per group and
+/// contributes no net mask (the fold's masks cancel by construction on
+/// both backends).
 pub fn sharing_fold_peer_batch<C: Channel, S: Fn(usize) -> ProtocolContext>(
     tape: &DealerTape,
     chan: &mut C,
@@ -874,7 +735,7 @@ mod tests {
         let ctx_a = ctx(111).narrow("mul").at(4);
         let ctx_b = ctx(222).narrow("mul").at(4);
         assert_eq!(dot_alpha(&a, &ctx_a, 5), dot_alpha(&b, &ctx_b, 5));
-        assert_eq!(open_mask(&a, &ctx_a), open_mask(&b, &ctx_b));
+        assert_eq!(fold_triple(&a, &ctx_a, 3).c1, fold_triple(&b, &ctx_b, 3).c1);
     }
 
     #[test]
@@ -889,69 +750,53 @@ mod tests {
         assert!(wide.unsigned_abs() <= MAX_SHARING_MASK);
     }
 
-    fn compare_both(a: i64, b: i64, op: CmpOp) -> (bool, bool) {
-        let tape = DealerTape::from_seed(42);
+    /// Runs one comparison set on two threads; returns both views and Bob's
+    /// ledger.
+    fn compare_sets(
+        avals: Vec<i64>,
+        bvals: Vec<i64>,
+        op: CmpOp,
+        seed: u64,
+    ) -> (Vec<bool>, Vec<bool>, SharingLedger) {
+        let tape = DealerTape::from_seed(seed);
         let domain = ComparisonDomain::symmetric(1 << 20);
         let (mut achan, mut bchan) = duplex();
         let alice = std::thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            sharing_compare_alice(&tape, &mut achan, a, op, &domain, &ctx(1).at(0), &mut acct)
+            sharing_compare_batch_alice(&tape, &mut achan, &avals, op, &domain, &ctx(1), &mut acct)
                 .unwrap()
         });
         let mut acct = SharingLedger::default();
-        let bv = sharing_compare_bob(&tape, &mut bchan, b, op, &domain, &ctx(2).at(0), &mut acct)
-            .unwrap();
-        assert_eq!(acct.compares, 1);
-        assert!(acct.bit_triples > 0);
-        (alice.join().unwrap(), bv)
+        let bv =
+            sharing_compare_batch_bob(&tape, &mut bchan, &bvals, op, &domain, &ctx(2), &mut acct)
+                .unwrap();
+        (alice.join().unwrap(), bv, acct)
     }
 
     #[test]
     fn compare_matches_plaintext() {
         for (a, b) in [(3i64, 4i64), (4, 3), (5, 5), (-9, 2), (2, -9), (-4, -4)] {
-            let (av, bv) = compare_both(a, b, CmpOp::Lt);
-            assert_eq!(av, a < b, "{a} < {b}");
-            assert_eq!(bv, a < b);
-            let (av, bv) = compare_both(a, b, CmpOp::Leq);
-            assert_eq!(av, a <= b, "{a} <= {b}");
-            assert_eq!(bv, a <= b);
+            for op in [CmpOp::Lt, CmpOp::Leq] {
+                let expect = match op {
+                    CmpOp::Lt => a < b,
+                    CmpOp::Leq => a <= b,
+                };
+                let (av, bv, acct) = compare_sets(vec![a], vec![b], op, 42);
+                assert_eq!(av, vec![expect], "{a} {op:?} {b}");
+                assert_eq!(bv, vec![expect]);
+                assert_eq!(acct.compares, 1);
+                assert!(acct.bit_triples > 0);
+            }
         }
     }
 
     #[test]
-    fn batch_compare_matches_singles() {
-        let tape = DealerTape::from_seed(7);
-        let domain = ComparisonDomain::symmetric(1000);
+    fn compare_set_matches_plaintext_in_one_exchange() {
         let avals = vec![1i64, -5, 7, 0, 3];
         let bvals = vec![2i64, -5, -7, 1, 3];
-        let (mut achan, mut bchan) = duplex();
-        let av2 = avals.clone();
-        let alice = std::thread::spawn(move || {
-            let mut acct = SharingLedger::default();
-            sharing_compare_batch_alice(
-                &tape,
-                &mut achan,
-                &av2,
-                CmpOp::Leq,
-                &domain,
-                &ctx(1),
-                &mut acct,
-            )
-            .unwrap()
-        });
-        let mut acct = SharingLedger::default();
-        let bv = sharing_compare_batch_bob(
-            &tape,
-            &mut bchan,
-            &bvals,
-            CmpOp::Leq,
-            &domain,
-            &ctx(2),
-            &mut acct,
-        )
-        .unwrap();
+        let (av, bv, acct) = compare_sets(avals.clone(), bvals.clone(), CmpOp::Leq, 7);
         let expect: Vec<bool> = avals.iter().zip(&bvals).map(|(&a, &b)| a <= b).collect();
-        assert_eq!(alice.join().unwrap(), expect);
+        assert_eq!(av, expect);
         assert_eq!(bv, expect);
         assert_eq!(acct.compares, 5);
     }
@@ -965,99 +810,97 @@ mod tests {
             ((1, 9), (5, 2)),                       // -4 vs 7 → true
             ((i64::MAX - 2, 5), (i64::MAX - 4, 1)), // 2 vs 4 (mod shares) → true
         ];
-        for ((u_a, v_a), (u_b, v_b)) in cases {
-            let tape = DealerTape::from_seed(99);
-            let domain = ComparisonDomain::symmetric(1 << 30);
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                let mut acct = SharingLedger::default();
-                sharing_share_less_than_alice(
-                    &tape,
-                    &mut achan,
-                    u_a,
-                    u_b,
-                    &domain,
-                    &ctx(3).at(0),
-                    &mut acct,
-                )
-                .unwrap()
-            });
+        let alice_pairs: Vec<(i64, i64)> = cases
+            .iter()
+            .map(|&((u_a, _), (u_b, _))| (u_a, u_b))
+            .collect();
+        let bob_pairs: Vec<(i64, i64)> = cases
+            .iter()
+            .map(|&((_, v_a), (_, v_b))| (v_a, v_b))
+            .collect();
+        let tape = DealerTape::from_seed(99);
+        let domain = ComparisonDomain::symmetric(1 << 30);
+        let (mut achan, mut bchan) = duplex();
+        let alice = std::thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            let bv = sharing_share_less_than_bob(
+            sharing_share_less_than_batch_alice(
                 &tape,
-                &mut bchan,
-                v_a,
-                v_b,
+                &mut achan,
+                &alice_pairs,
                 &domain,
-                &ctx(4).at(0),
-                &mut acct,
-            )
-            .unwrap();
-            let dist_a = Fe::embed(u_a) - Fe::embed(v_a);
-            let dist_b = Fe::embed(u_b) - Fe::embed(v_b);
-            let expect = (dist_a - dist_b).lift() < 0;
-            assert_eq!(alice.join().unwrap(), expect);
-            assert_eq!(bv, expect);
-        }
-    }
-
-    #[test]
-    fn fold_computes_exact_inner_product() {
-        let xs: Vec<i64> = vec![3, -1, 0, 12, 7];
-        let ys: Vec<i64> = vec![5, 5, -9, 2, -3];
-        let expect: i64 = xs.iter().zip(&ys).map(|(&x, &y)| x * y).sum();
-        let tape = DealerTape::from_seed(11);
-        let (mut kchan, mut pchan) = duplex();
-        let xfes: Vec<Fe> = xs.iter().map(|&v| Fe::embed(v)).collect();
-        let key = std::thread::spawn(move || {
-            let mut acct = SharingLedger::default();
-            let u = sharing_fold_keyholder_one(&tape, &mut kchan, &xfes, &ctx(5).at(2), &mut acct)
-                .unwrap();
-            (u, acct)
-        });
-        let yfes: Vec<Fe> = ys.iter().map(|&v| Fe::embed(v)).collect();
-        let mut acct = SharingLedger::default();
-        sharing_fold_peer_one(&tape, &mut pchan, &yfes, &ctx(6).at(2), &mut acct).unwrap();
-        let (u, kacct) = key.join().unwrap();
-        assert_eq!(u.lift(), expect);
-        assert_eq!(kacct.triples, 5);
-        assert_eq!(acct.opened_elements, 11);
-    }
-
-    #[test]
-    fn fold_batch_matches_singles_and_tape_scopes_agree() {
-        let groups_x = vec![vec![1i64, 2], vec![-3, 4, 5], vec![7]];
-        let groups_y = vec![vec![9i64, -2], vec![1, 1, 1], vec![-6]];
-        let tape = DealerTape::from_seed(21);
-        let base = ctx(8).narrow("mul");
-        let gx: Vec<Vec<Fe>> = groups_x
-            .iter()
-            .map(|g| g.iter().map(|&v| Fe::embed(v)).collect())
-            .collect();
-        let gy: Vec<Vec<Fe>> = groups_y
-            .iter()
-            .map(|g| g.iter().map(|&v| Fe::embed(v)).collect())
-            .collect();
-        let (mut kchan, mut pchan) = duplex();
-        let gx2 = gx.clone();
-        let key = std::thread::spawn(move || {
-            let mut acct = SharingLedger::default();
-            sharing_fold_keyholder_batch(
-                &tape,
-                &mut kchan,
-                &gx2,
-                |g| ctx(8).narrow("mul").at(g as u64),
+                &ctx(3),
                 &mut acct,
             )
             .unwrap()
         });
         let mut acct = SharingLedger::default();
+        let bv = sharing_share_less_than_batch_bob(
+            &tape,
+            &mut bchan,
+            &bob_pairs,
+            &domain,
+            &ctx(4),
+            &mut acct,
+        )
+        .unwrap();
+        let expect: Vec<bool> = cases
+            .iter()
+            .map(|&((u_a, v_a), (u_b, v_b))| {
+                let dist_a = Fe::embed(u_a) - Fe::embed(v_a);
+                let dist_b = Fe::embed(u_b) - Fe::embed(v_b);
+                (dist_a - dist_b).lift() < 0
+            })
+            .collect();
+        assert_eq!(alice.join().unwrap(), expect);
+        assert_eq!(bv, expect);
+    }
+
+    #[test]
+    fn folds_compute_exact_inner_products() {
+        let groups_x = vec![
+            vec![3i64, -1, 0, 12, 7],
+            vec![1, 2],
+            vec![-3, 4, 5],
+            vec![7],
+        ];
+        let groups_y = vec![
+            vec![5i64, 5, -9, 2, -3],
+            vec![9, -2],
+            vec![1, 1, 1],
+            vec![-6],
+        ];
+        let tape = DealerTape::from_seed(21);
+        let base = ctx(8).narrow("mul");
+        let embed = |groups: &[Vec<i64>]| -> Vec<Vec<Fe>> {
+            groups
+                .iter()
+                .map(|g| g.iter().map(|&v| Fe::embed(v)).collect())
+                .collect()
+        };
+        let (gx, gy) = (embed(&groups_x), embed(&groups_y));
+        let (mut kchan, mut pchan) = duplex();
+        let key = std::thread::spawn(move || {
+            let mut acct = SharingLedger::default();
+            let us = sharing_fold_keyholder_batch(
+                &tape,
+                &mut kchan,
+                &gx,
+                |g| ctx(8).narrow("mul").at(g as u64),
+                &mut acct,
+            )
+            .unwrap();
+            (us, acct)
+        });
+        let mut acct = SharingLedger::default();
         sharing_fold_peer_batch(&tape, &mut pchan, &gy, |g| base.at(g as u64), &mut acct).unwrap();
-        let us = key.join().unwrap();
+        let (us, kacct) = key.join().unwrap();
         for ((u, xs), ys) in us.iter().zip(&groups_x).zip(&groups_y) {
             let expect: i64 = xs.iter().zip(ys).map(|(&x, &y)| x * y).sum();
             assert_eq!(u.lift(), expect);
         }
+        // 11 elements: one triple each; 2m + 1 opened elements per group.
+        assert_eq!(kacct.triples, 11);
+        assert_eq!(acct.opened_elements, 2 * 11 + 4);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::Keypair;
-use ppds_smc::compare::{compare_alice, compare_bob, CmpOp, Comparator, ComparisonDomain};
+use ppds_smc::compare::{
+    compare_batch_alice, compare_batch_bob, CmpOp, Comparator, ComparisonDomain,
+};
 use ppds_smc::millionaires::{yao_alice, yao_bob, YaoConfig};
 use ppds_smc::multiplication::{
-    dot_keyholder, dot_peer, mul_batch_keyholder, mul_batch_peer, zero_sum_masks,
+    dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
 };
 use ppds_smc::ProtocolContext;
 use ppds_transport::duplex;
@@ -71,15 +73,15 @@ proptest! {
             let (mut achan, mut bchan) = duplex();
             let alice = std::thread::spawn(move || {
                 let actx = ProtocolContext::new(seed);
-                compare_alice(comparator, &mut achan, keypair(), a, op, &domain, false, &actx)
+                compare_batch_alice(comparator, &mut achan, keypair(), &[a], op, &domain, false, &actx)
                     .unwrap()
             });
             let bctx = ProtocolContext::new(seed.wrapping_add(1));
-            let bob_view = compare_bob(
+            let bob_view = compare_batch_bob(
                 comparator,
                 &mut bchan,
                 &keypair().public,
-                b,
+                &[b],
                 op,
                 &domain,
                 false,
@@ -87,13 +89,13 @@ proptest! {
             )
             .unwrap();
             let alice_view = alice.join().unwrap();
-            prop_assert_eq!(alice_view, expect, "{:?} {} vs {}", comparator, a, b);
-            prop_assert_eq!(bob_view, expect);
+            prop_assert_eq!(alice_view, vec![expect], "{:?} {} vs {}", comparator, a, b);
+            prop_assert_eq!(bob_view, vec![expect]);
         }
     }
 
     #[test]
-    fn batched_multiplication_masks_cancel(
+    fn multiplication_masks_cancel(
         xs in proptest::collection::vec(-100i64..100, 1..6),
         ys_seed in any::<u64>(),
         seed in any::<u64>(),
@@ -111,11 +113,19 @@ proptest! {
         let xs2 = xs_big.clone();
         let keyholder = std::thread::spawn(move || {
             let kctx = ProtocolContext::new(seed.wrapping_add(1));
-            mul_batch_keyholder(&mut kchan, keypair(), &xs2, None, &kctx).unwrap()
+            mul_batches_keyholder(&mut kchan, keypair(), &[xs2], |_| kctx, None).unwrap()
         });
         let pctx = ProtocolContext::new(seed.wrapping_add(2));
-        mul_batch_peer(&mut pchan, &keypair().public, &ys_big, &masks, None, &pctx).unwrap();
-        let ws = keyholder.join().unwrap();
+        mul_batches_peer(
+            &mut pchan,
+            &keypair().public,
+            &[ys_big],
+            |_| masks.clone(),
+            |_| pctx,
+            None,
+        )
+        .unwrap();
+        let ws = keyholder.join().unwrap().remove(0);
 
         // Σ w_i = Σ x_i·y_i exactly (zero-sum masks cancel).
         let sum = ws.iter().fold(BigInt::zero(), |acc, w| &acc + w);
@@ -138,18 +148,20 @@ proptest! {
         let (mut kchan, mut pchan) = duplex();
         let xs2 = xs_big.clone();
         let keyholder = std::thread::spawn(move || {
-            dot_keyholder(&mut kchan, keypair(), &xs2, &ProtocolContext::new(seed)).unwrap()
+            dot_many_keyholder(&mut kchan, keypair(), &xs2, 1, None, &ProtocolContext::new(seed))
+                .unwrap()
         });
-        let v = dot_peer(
+        let v = dot_many_peer(
             &mut pchan,
             &keypair().public,
-            &ys_big,
+            &[ys_big],
             &BigUint::from_u64(1 << 24),
+            None,
             &ProtocolContext::new(seed.wrapping_add(1)),
         )
         .unwrap();
-        let u = keyholder.join().unwrap();
+        let (u, v) = (&keyholder.join().unwrap()[0], &v[0]);
         let expect: i64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
-        prop_assert_eq!(&u - &v, BigInt::from_i64(expect));
+        prop_assert_eq!(u - v, BigInt::from_i64(expect));
     }
 }

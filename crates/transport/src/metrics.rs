@@ -11,13 +11,15 @@ use std::time::Duration;
 ///
 /// * **messages** — logical protocol payloads. A plain send is one message;
 ///   a batch frame of `k` payloads counts `k` messages, so the figure is
-///   comparable between batched and unbatched runs of the same protocol.
+///   the per-comparison message count of the paper's protocols, however
+///   they are framed.
 /// * **rounds** — wire frames, i.e. latency-paying network hops. A plain
 ///   send is one round; a batch frame of any size is one round. This is the
 ///   quantity the [`CostModel`] charges latency on, and the one round
 ///   batching collapses from `O(candidates)` to `O(1)` per query.
 ///
-/// For unbatched traffic the two coincide (`messages == rounds`).
+/// For plain sends and one-item batches the two coincide
+/// (`messages == rounds`).
 #[derive(Debug, Default)]
 pub struct ChannelMetrics {
     bytes_sent: AtomicU64,

@@ -95,20 +95,23 @@ fn main() {
         bank.leakage.count_kind("neighbor_count")
     );
 
-    // Same protocol, round-batched: every region query ships its full
-    // candidate set as one wire frame per message instead of one ping-pong
-    // per comparison. Identical labels and leakage; O(1) rounds per query.
-    println!("\nRe-running with round batching (one message per neighborhood)…");
-    let (bank_b, _hospital_b) = run_vertical(cfg.with_batching(true), &partition, 100, 200);
-    assert_eq!(bank_b.clustering, bank.clustering);
-    assert_eq!(bank_b.leakage, bank.leakage);
+    // Round batching: every region query ships its full candidate set as
+    // one wire frame per message, where the paper's framing pays one
+    // ping-pong per comparison (the logical-message count).
+    let t = bank.traffic;
+    let per_message = ppds_transport::MetricsSnapshot {
+        rounds_sent: t.messages_sent,
+        rounds_received: t.messages_received,
+        ..t
+    };
     let wan = ppds_transport::CostModel::wan();
     println!(
-        "  wire rounds: {} → {} ({}x fewer); modeled WAN time {:.1}s → {:.1}s",
-        bank.traffic.total_rounds(),
-        bank_b.traffic.total_rounds(),
-        bank.traffic.total_rounds() / bank_b.traffic.total_rounds().max(1),
-        wan.estimate(&bank.traffic).as_secs_f64(),
-        wan.estimate(&bank_b.traffic).as_secs_f64(),
+        "Round batching: {} wire rounds for {} logical messages ({}x fewer); \
+         modeled WAN time {:.1}s vs {:.1}s at one round per message.",
+        t.total_rounds(),
+        t.total_messages(),
+        t.total_messages() / t.total_rounds().max(1),
+        wan.estimate(&t).as_secs_f64(),
+        wan.estimate(&per_message).as_secs_f64(),
     );
 }

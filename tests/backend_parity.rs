@@ -1,7 +1,8 @@
 //! Backend parity: the secret-sharing backend must be observationally
 //! interchangeable with the Paillier backend everywhere the paper's
-//! protocols surface a result. Concretely, for every protocol mode and
-//! both round framings:
+//! protocols surface a result. Concretely, for every protocol mode, with
+//! the Paillier side in both of its transport framings (unpacked and
+//! slot-packed):
 //!
 //! 1. clustering labels are byte-identical across backends;
 //! 2. the `LeakageLog` (event *order* included — the Figure-1-defense
@@ -27,8 +28,8 @@ use ppds::ppdbscan::{ArbitraryPartition, PartyOutput, VerticalPartition};
 use ppds::ppds_dbscan::{DbscanParams, Point};
 use ppds::ppds_smc::compare::ComparisonDomain;
 use ppds::ppds_smc::sharing::{
-    fe_dot, sharing_fold_keyholder_one, sharing_fold_peer_one, sharing_share_less_than_alice,
-    sharing_share_less_than_bob, Fe,
+    fe_dot, sharing_fold_keyholder_batch, sharing_fold_peer_batch,
+    sharing_share_less_than_batch_alice, sharing_share_less_than_batch_bob, Fe,
 };
 use ppds::ppds_smc::{BackendKind, DealerTape, ProtocolContext, SharingLedger};
 use ppds::ppds_transport::duplex;
@@ -102,10 +103,10 @@ fn all_modes_agree_across_backends_and_framings() {
     let vertical = VerticalPartition::split(&points, 1);
     let arbitrary = ArbitraryPartition::random(&mut rng(0xA5A5), &points);
 
-    for batching in [false, true] {
-        let tag = if batching { "batched" } else { "unbatched" };
-        let p_cfg = base_cfg().with_batching(batching);
-        let s_cfg = p_cfg.with_backend(BackendKind::Sharing);
+    for packing in [false, true] {
+        let tag = if packing { "packed" } else { "unpacked" };
+        let p_cfg = base_cfg().with_packing(packing);
+        let s_cfg = base_cfg().with_backend(BackendKind::Sharing);
 
         let p = run_horizontal_pair(&p_cfg, &alice, &bob, rng(1), rng(2)).unwrap();
         let s = run_horizontal_pair(&s_cfg, &alice, &bob, rng(1), rng(2)).unwrap();
@@ -113,7 +114,8 @@ fn all_modes_agree_across_backends_and_framings() {
 
         let mut enh = p_cfg;
         enh.params.min_pts = 3; // force the joint core tests to engage
-        let enh_s = enh.with_backend(BackendKind::Sharing);
+        let mut enh_s = s_cfg;
+        enh_s.params.min_pts = 3;
         let p = run_enhanced_pair(&enh, &alice, &bob, rng(3), rng(4)).unwrap();
         let s = run_enhanced_pair(&enh_s, &alice, &bob, rng(3), rng(4)).unwrap();
         assert_backend_parity(&format!("enhanced/{tag}"), &p, &s);
@@ -143,23 +145,25 @@ fn all_modes_agree_across_backends_and_framings() {
     }
 }
 
-/// The sharing backend's own framings must also agree with each other —
-/// batching is a wire-layout choice, never an arithmetic one.
+/// Slot packing is a Paillier transport knob: a sharing session with it
+/// switched on moves the same ring elements — identical labels, leakage,
+/// correlations consumed, and wire bytes.
 #[test]
-fn sharing_backend_is_batching_invariant() {
+fn sharing_backend_is_packing_invariant() {
     let points = lattice_points(23, 6, 5);
     let (alice, bob) = (points[..3].to_vec(), points[3..].to_vec());
     let u_cfg = base_cfg().with_backend(BackendKind::Sharing);
-    let b_cfg = u_cfg.with_batching(true);
+    let p_cfg = u_cfg.with_packing(true);
     let u = run_horizontal_pair(&u_cfg, &alice, &bob, rng(9), rng(10)).unwrap();
-    let b = run_horizontal_pair(&b_cfg, &alice, &bob, rng(9), rng(10)).unwrap();
-    for (side, (uo, bo)) in [("alice", (&u.0, &b.0)), ("bob", (&u.1, &b.1))] {
-        assert_eq!(uo.clustering, bo.clustering, "{side}: labels");
-        assert_eq!(uo.leakage, bo.leakage, "{side}: leakage");
+    let p = run_horizontal_pair(&p_cfg, &alice, &bob, rng(9), rng(10)).unwrap();
+    for (side, (uo, po)) in [("alice", (&u.0, &p.0)), ("bob", (&u.1, &p.1))] {
+        assert_eq!(uo.clustering, po.clustering, "{side}: labels");
+        assert_eq!(uo.leakage, po.leakage, "{side}: leakage");
         assert_eq!(
-            uo.sharing, bo.sharing,
-            "{side}: framing must consume identical correlations"
+            uo.sharing, po.sharing,
+            "{side}: packing must not change the correlations consumed"
         );
+        assert_eq!(uo.traffic, po.traffic, "{side}: wire bytes");
     }
 }
 
@@ -170,7 +174,7 @@ fn sharing_backend_is_batching_invariant() {
 fn sharing_moves_an_order_of_magnitude_fewer_bytes_on_vertical() {
     let points = lattice_points(31, 12, 5);
     let partition = VerticalPartition::split(&points, 1);
-    let p_cfg = base_cfg().with_batching(true);
+    let p_cfg = base_cfg();
     let s_cfg = p_cfg.with_backend(BackendKind::Sharing);
     let (pa, _) = run_vertical_pair(&p_cfg, &partition, rng(11), rng(12)).unwrap();
     let (sa, _) = run_vertical_pair(&s_cfg, &partition, rng(11), rng(12)).unwrap();
@@ -236,12 +240,13 @@ proptest! {
         let peer_ctx = ctx;
         let peer = thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            sharing_fold_peer_one(&tape, &mut b_chan, &ys_fe, &peer_ctx, &mut acct).unwrap();
+            sharing_fold_peer_batch(&tape, &mut b_chan, &[ys_fe], |_| peer_ctx, &mut acct)
+                .unwrap();
             acct
         });
         let mut acct = SharingLedger::default();
-        let got = sharing_fold_keyholder_one(&tape, &mut a_chan, &xs_fe, &ctx, &mut acct)
-            .unwrap();
+        let got = sharing_fold_keyholder_batch(&tape, &mut a_chan, &[xs_fe], |_| ctx, &mut acct)
+            .unwrap()[0];
         let peer_acct = peer.join().unwrap();
         prop_assert_eq!(got.lift(), expected);
         prop_assert_eq!(acct.triples, xs.len() as u64);
@@ -272,16 +277,16 @@ proptest! {
         let (bob_ctx, bob_domain) = (ctx, domain);
         let bob = thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            sharing_share_less_than_bob(
-                &tape, &mut b_chan, v_a, v_b, &bob_domain, &bob_ctx, &mut acct,
+            sharing_share_less_than_batch_bob(
+                &tape, &mut b_chan, &[(v_a, v_b)], &bob_domain, &bob_ctx, &mut acct,
             )
-            .unwrap()
+            .unwrap()[0]
         });
         let mut acct = SharingLedger::default();
-        let got = sharing_share_less_than_alice(
-            &tape, &mut a_chan, u_a, u_b, &domain, &ctx, &mut acct,
+        let got = sharing_share_less_than_batch_alice(
+            &tape, &mut a_chan, &[(u_a, u_b)], &domain, &ctx, &mut acct,
         )
-        .unwrap();
+        .unwrap()[0];
         let bob_got = bob.join().unwrap();
         prop_assert_eq!(got, dist_a < dist_b, "alice verdict");
         prop_assert_eq!(bob_got, got, "both parties learn the same bit");

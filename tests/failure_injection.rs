@@ -5,12 +5,13 @@
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{Participant, PartyData};
 use ppdbscan::CoreError;
+use ppds_bigint::BigInt;
 use ppds_bigint::BigUint;
 use ppds_dbscan::{DbscanParams, Point};
 use ppds_paillier::Keypair;
-use ppds_smc::compare::{compare_bob, CmpOp, Comparator, ComparisonDomain};
+use ppds_smc::compare::{compare_batch_bob, CmpOp, Comparator, ComparisonDomain};
 use ppds_smc::millionaires::{yao_bob, YaoConfig};
-use ppds_smc::multiplication::mul_peer;
+use ppds_smc::multiplication::mul_batches_peer;
 use ppds_smc::{setup, Party, ProtocolContext, SmcError};
 use ppds_transport::{duplex, Channel};
 use rand::rngs::StdRng;
@@ -22,6 +23,21 @@ fn rng(seed: u64) -> StdRng {
 
 fn test_keypair() -> Keypair {
     Keypair::generate(128, &mut rng(0))
+}
+
+/// The peer side of one multiplication (a one-group, one-element batch)
+/// against whatever frame the fake keyholder already queued.
+fn one_product_peer<C: Channel>(chan: &mut C, kp: &Keypair, seed: u64) -> SmcError {
+    let ctx = ProtocolContext::new(seed);
+    mul_batches_peer(
+        chan,
+        &kp.public,
+        &[vec![BigInt::from_i64(1)]],
+        |_| vec![BigInt::from_i64(3)],
+        |g| ctx.at(g as u64),
+        None,
+    )
+    .unwrap_err()
 }
 
 #[test]
@@ -36,15 +52,8 @@ fn garbage_public_key_is_rejected_not_panicking() {
 fn zero_ciphertext_in_multiplication_is_crypto_error() {
     let kp = test_keypair();
     let (mut a, mut b) = duplex();
-    a.send(&BigUint::zero()).unwrap();
-    let err = mul_peer(
-        &mut b,
-        &kp.public,
-        &ppds_bigint::BigInt::from_i64(1),
-        &BigUint::from_u64(8),
-        &ProtocolContext::new(1),
-    )
-    .unwrap_err();
+    a.send_batch(&[vec![BigUint::zero()]]).unwrap();
+    let err = one_product_peer(&mut b, &kp, 1);
     assert!(matches!(err, SmcError::Crypto(_)));
 }
 
@@ -102,11 +111,11 @@ fn peer_disconnect_mid_protocol_is_transport_error() {
     let domain = ComparisonDomain::symmetric(10);
     let (alice_side, mut bob_side) = duplex();
     drop(alice_side); // peer vanishes before the first message
-    let err = compare_bob(
+    let err = compare_batch_bob(
         Comparator::Ideal,
         &mut bob_side,
         &kp.public,
-        3,
+        &[3],
         CmpOp::Lt,
         &domain,
         false,
@@ -120,16 +129,9 @@ fn peer_disconnect_mid_protocol_is_transport_error() {
 fn wrong_typed_message_is_decode_error_not_panic() {
     let kp = test_keypair();
     let (mut a, mut b) = duplex();
-    // The responder expects a ciphertext (BigUint); send a bool payload.
+    // The responder expects a batch of ciphertext groups; send a bool.
     a.send(&true).unwrap();
-    let err = mul_peer(
-        &mut b,
-        &kp.public,
-        &ppds_bigint::BigInt::from_i64(1),
-        &BigUint::from_u64(8),
-        &ProtocolContext::new(5),
-    )
-    .unwrap_err();
+    let err = one_product_peer(&mut b, &kp, 5);
     assert!(matches!(err, SmcError::Transport(_)));
 }
 

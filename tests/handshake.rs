@@ -8,7 +8,8 @@ use ppdbscan::session::{Hello, Mode, Participant, PartyData, WIRE_VERSION};
 use ppdbscan::CoreError;
 use ppds_dbscan::{DbscanParams, Point};
 use ppds_paillier::Keypair;
-use ppds_smc::{setup, Party};
+use ppds_smc::{setup, BackendKind, Party};
+use ppds_transport::wire::{WireDecode, WireEncode};
 use ppds_transport::{duplex, Channel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,14 +79,44 @@ fn eps_sq_mismatch_fails_on_both_sides_naming_the_field() {
     assert_eq!((b_ours, b_theirs), (9, 4), "sides swapped symmetrically");
 }
 
+/// The retired unbatched framing: `batching = false` is a typed config
+/// error from `validate()` and from `Participant::run` — for a mode that
+/// validates before the handshake (horizontal), one that validates its
+/// joint dimension after it (vertical), and a mesh node — and no frame
+/// ever reaches the peer.
 #[test]
-fn batching_mismatch_fails_on_both_sides_naming_the_field() {
-    let (a, b) = run_both(
-        horizontal(cfg(4), 3).role(Party::Alice),
-        horizontal(cfg(4).with_batching(true), 4).role(Party::Bob),
-    );
-    assert_eq!(expect_mismatch("alice", a, "batching"), (0, 1));
-    assert_eq!(expect_mismatch("bob", b, "batching"), (1, 0));
+fn batching_off_is_a_typed_config_error_before_any_frame() {
+    let unbatched = ProtocolConfig {
+        batching: false,
+        ..cfg(4)
+    };
+    let is_batching_config_error = |err: CoreError| match err {
+        CoreError::Config(msg) => assert!(msg.contains("batching"), "{msg}"),
+        other => panic!("wanted a batching config error, got {other:?}"),
+    };
+    is_batching_config_error(unbatched.validate(2).unwrap_err());
+    for data in [
+        PartyData::Horizontal(points()),
+        PartyData::Vertical(points()),
+    ] {
+        let (mut chan, peer) = duplex();
+        let err = Participant::new(unbatched)
+            .role(Party::Alice)
+            .data(data)
+            .seed(3)
+            .run(&mut chan)
+            .unwrap_err();
+        is_batching_config_error(err);
+        assert_eq!(chan.metrics().total_bytes(), 0, "no frame sent");
+        drop(peer);
+    }
+    let (chan, _peer) = duplex();
+    let err = Participant::new(unbatched)
+        .data(PartyData::Multiparty(points()))
+        .seed(4)
+        .run_mesh(&mut [(1, chan)], 0, 2)
+        .unwrap_err();
+    is_batching_config_error(err);
 }
 
 #[test]
@@ -99,15 +130,15 @@ fn packing_mismatch_fails_on_both_sides_naming_the_field() {
 }
 
 #[test]
-fn packing_and_batching_disagreements_name_their_own_fields() {
+fn packing_and_backend_disagreements_name_packing_first() {
     // Both knobs differ: the handshake reports the first disagreeing field
-    // in tag order (batching precedes packing), on both sides.
+    // in tag order (packing precedes backend), on both sides.
     let (a, b) = run_both(
-        horizontal(cfg(4).with_batching(true), 15).role(Party::Alice),
-        horizontal(cfg(4).with_packing(true), 16).role(Party::Bob),
+        horizontal(cfg(4).with_packing(true), 15).role(Party::Alice),
+        horizontal(cfg(4).with_backend(BackendKind::Sharing), 16).role(Party::Bob),
     );
-    assert_eq!(expect_mismatch("alice", a, "batching"), (1, 0));
-    assert_eq!(expect_mismatch("bob", b, "batching"), (0, 1));
+    assert_eq!(expect_mismatch("alice", a, "packing"), (1, 0));
+    assert_eq!(expect_mismatch("bob", b, "packing"), (0, 1));
 }
 
 #[test]
@@ -123,26 +154,27 @@ fn comparator_mismatch_fails_on_both_sides_naming_the_field() {
     assert_eq!(expect_mismatch("bob", b, "comparator"), (2, 1));
 }
 
-#[test]
-fn wire_version_mismatch_is_a_typed_error_not_a_hang_or_decode_failure() {
-    // A "future" (or past) peer: completes the key exchange honestly, then
-    // sends a Hello advertising a different wire version. The real
-    // participant must reject it by name — before any protocol message.
+/// A peer that completes the key exchange honestly, then sends the Hello
+/// frame `hello_bytes`; returns the real participant's error.
+fn run_against_hello(hello_bytes: Vec<u8>, seed: u64) -> CoreError {
     let (mut real_chan, mut fake_chan) = duplex();
     let fake = std::thread::spawn(move || {
         let mut rng = StdRng::seed_from_u64(99);
         let kp = Keypair::generate(256, &mut rng);
         setup::exchange_keys_bob(&mut fake_chan, &kp).unwrap();
-        let hello = Hello::for_session(&cfg(4), Mode::Horizontal, 2, 2).with_wire_version(7);
-        fake_chan.send(&hello).unwrap();
+        fake_chan.send_bytes(&hello_bytes).unwrap();
         // Drain the real side's hello so its send doesn't block.
         let _theirs: Hello = fake_chan.recv().unwrap();
     });
-    let err = horizontal(cfg(4), 7)
+    let err = horizontal(cfg(4), seed)
         .role(Party::Alice)
         .run(&mut real_chan)
         .unwrap_err();
     fake.join().unwrap();
+    err
+}
+
+fn expect_wire_version_mismatch(err: CoreError, theirs_expected: u64) {
     match err {
         CoreError::HandshakeMismatch {
             field,
@@ -151,10 +183,37 @@ fn wire_version_mismatch_is_a_typed_error_not_a_hang_or_decode_failure() {
         } => {
             assert_eq!(field, "wire_version");
             assert_eq!(ours, u64::from(WIRE_VERSION));
-            assert_eq!(theirs, 7);
+            assert_eq!(theirs, theirs_expected);
         }
         other => panic!("wanted HandshakeMismatch on wire_version, got {other:?}"),
     }
+}
+
+#[test]
+fn wire_version_mismatch_is_a_typed_error_not_a_hang_or_decode_failure() {
+    // A "future" (or past) peer: the real participant must reject it by
+    // name — before any protocol message.
+    let hello = Hello::for_session(&cfg(4), Mode::Horizontal, 2, 2).with_wire_version(7);
+    expect_wire_version_mismatch(run_against_hello(hello.encode_to_vec(), 7), 7);
+}
+
+#[test]
+fn v5_hello_with_the_batching_field_is_a_wire_version_mismatch() {
+    // Wire v5 still negotiated the batching knob (field tag 11); a v6
+    // participant refuses such a peer by version instead of silently
+    // ignoring the field. Frame layout: version (u32 LE), field count
+    // (u32 LE), then (tag: u8, value: u64 LE) pairs.
+    assert_eq!(WIRE_VERSION, 6);
+    let mut v5 = Hello::for_session(&cfg(4), Mode::Horizontal, 2, 2)
+        .with_wire_version(5)
+        .encode_to_vec();
+    let count = u32::from_le_bytes(v5[4..8].try_into().unwrap());
+    v5[4..8].copy_from_slice(&(count + 1).to_le_bytes());
+    v5.push(11);
+    v5.extend_from_slice(&1u64.to_le_bytes());
+    let decoded = Hello::decode_exact(&v5).unwrap();
+    assert_eq!(decoded.wire_version, 5);
+    expect_wire_version_mismatch(run_against_hello(v5, 17), 5);
 }
 
 #[test]

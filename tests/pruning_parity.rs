@@ -1,7 +1,7 @@
 //! Pruning parity: grid candidate pruning must be a pure *work* optimization,
 //! never a *result* change, wherever the candidate generator is exact.
 //!
-//! For every protocol mode, both backends, and both wire framings, the pruned
+//! For every protocol mode, both backends, and Paillier packed/unpacked, the pruned
 //! run (`Pruning::Grid`) is compared against the exhaustive run
 //! (`Pruning::Exhaustive`) under identical seeds on a workload of two blobs
 //! far enough apart that every cross-blob pair falls outside the pruning
@@ -66,21 +66,12 @@ fn base_cfg() -> ProtocolConfig {
     )
 }
 
-/// The backend × framing matrix every mode is checked under.
+/// The backend × packing matrix every mode is checked under.
 fn config_matrix() -> Vec<(&'static str, ProtocolConfig)> {
     vec![
         ("paillier", base_cfg()),
-        (
-            "paillier/batched+packed",
-            base_cfg().with_batching(true).with_packing(true),
-        ),
+        ("paillier/packed", base_cfg().with_packing(true)),
         ("sharing", base_cfg().with_backend(BackendKind::Sharing)),
-        (
-            "sharing/batched",
-            base_cfg()
-                .with_backend(BackendKind::Sharing)
-                .with_batching(true),
-        ),
     ]
 }
 

@@ -53,7 +53,6 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 /// server's data views.
 struct Scenario {
     id: u64,
-    batching: bool,
     packing: bool,
     client_data: PartyData,
     server_data: PartyData,
@@ -67,7 +66,6 @@ fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario {
             id: 1,
-            batching: false,
             packing: false,
             client_data: PartyData::Horizontal(alice.clone()),
             server_data: PartyData::Horizontal(bob.clone()),
@@ -75,7 +73,6 @@ fn scenarios() -> Vec<Scenario> {
         },
         Scenario {
             id: 2,
-            batching: true,
             packing: false,
             client_data: PartyData::Enhanced(alice.clone()),
             server_data: PartyData::Enhanced(bob.clone()),
@@ -83,7 +80,6 @@ fn scenarios() -> Vec<Scenario> {
         },
         Scenario {
             id: 3,
-            batching: false,
             packing: true,
             client_data: PartyData::Vertical(vertical.alice),
             server_data: PartyData::Vertical(vertical.bob),
@@ -91,7 +87,6 @@ fn scenarios() -> Vec<Scenario> {
         },
         Scenario {
             id: 4,
-            batching: true,
             packing: true,
             client_data: PartyData::Horizontal(alice),
             server_data: PartyData::Horizontal(bob),
@@ -137,9 +132,7 @@ fn concurrent_mixed_sessions_match_direct_runs_and_metrics_are_live() {
     // task is now in flight simultaneously, pinned at the key exchange.
     let mut opened = Vec::new();
     for sc in scenarios() {
-        let cfg = base_cfg()
-            .with_batching(sc.batching)
-            .with_packing(sc.packing);
+        let cfg = base_cfg().with_packing(sc.packing);
         let participant = Participant::new(cfg)
             .role(Party::Alice)
             .data(sc.client_data.clone())
@@ -177,9 +170,7 @@ fn concurrent_mixed_sessions_match_direct_runs_and_metrics_are_live() {
     // Byte-identity: a direct in-process run of the same pair with the
     // same seeds must agree on labels, leakage, ledger, and traffic.
     for (sc, via_server) in &outcomes {
-        let cfg = base_cfg()
-            .with_batching(sc.batching)
-            .with_packing(sc.packing);
+        let cfg = base_cfg().with_packing(sc.packing);
         let direct_server = Participant::new(cfg)
             .role(Party::Bob)
             .data(sc.server_data.clone())
@@ -486,11 +477,11 @@ fn negotiation_cache_skips_rechecks_for_reconnecting_clients() {
         run_session(&addr, participant, 0, TIMEOUT).expect("session completes");
     }
     // A changed knob is a different fingerprint: re-negotiated once.
-    let batched = Participant::new(base_cfg().with_batching(true))
+    let packed = Participant::new(base_cfg().with_packing(true))
         .role(Party::Alice)
         .data(PartyData::Horizontal(alice))
         .seed(714);
-    run_session(&addr, batched, 0, TIMEOUT).expect("batched session completes");
+    run_session(&addr, packed, 0, TIMEOUT).expect("packed session completes");
 
     let metrics = server.metrics();
     assert_eq!(

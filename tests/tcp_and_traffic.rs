@@ -1,13 +1,17 @@
-//! Deployment and accounting tests: the protocols over real TCP sockets,
+//! Deployment and accounting tests: every protocol mode over real TCP
+//! sockets with the same outputs as in memory, the round-batching bound,
 //! and the communication-complexity shape checks behind experiments E1/E2.
 
 mod common;
 
 use common::{rng, run_horizontal_pair, run_vertical_pair};
 use ppdbscan::config::ProtocolConfig;
-use ppdbscan::session::{Participant, PartyData, SessionOutcome, WIRE_VERSION};
-use ppdbscan::VerticalPartition;
-use ppds_dbscan::{dbscan, dbscan_with_external_density, DbscanParams, Point};
+use ppdbscan::session::{
+    run_mesh_local, run_participants, Mode, Participant, PartyData, SessionOutcome, WIRE_VERSION,
+};
+use ppdbscan::{ArbitraryPartition, PartyOutput, VerticalPartition};
+use ppds_dbscan::datagen::{split_alternating, standard_blobs};
+use ppds_dbscan::{dbscan, dbscan_with_external_density, DbscanParams, Point, Quantizer};
 use ppds_smc::Party;
 use ppds_transport::tcp::TcpChannel;
 use std::net::TcpListener;
@@ -28,6 +32,186 @@ fn over_tcp(
         None => TcpChannel::connect(addr).unwrap(),
     };
     participant.run(&mut chan).unwrap()
+}
+
+fn blobs(n: usize, seed: u64) -> Vec<Point> {
+    let quantizer = Quantizer::new(1.0, 60);
+    let (points, _) = standard_blobs(&mut rng(seed), (n / 3).max(1), 3, 2, quantizer);
+    points
+}
+
+fn base_cfg() -> ProtocolConfig {
+    cfg(81, 3, 60)
+}
+
+/// Asserts labels, leakage, Yao ledger, and the complete traffic snapshot
+/// are identical.
+fn assert_output_parity(name: &str, expected: &PartyOutput, got: &PartyOutput) {
+    assert_eq!(expected.clustering, got.clustering, "{name}: labels");
+    assert_eq!(expected.leakage, got.leakage, "{name}: LeakageLog");
+    assert_eq!(expected.yao, got.yao, "{name}: YaoLedger");
+    assert_eq!(expected.traffic, got.traffic, "{name}: MetricsSnapshot");
+}
+
+const TWO_PARTY_MODES: [Mode; 4] = [
+    Mode::Horizontal,
+    Mode::Enhanced,
+    Mode::Vertical,
+    Mode::Arbitrary,
+];
+
+/// The two parties' `PartyData` views of one mode over one dataset.
+fn mode_views(mode: Mode, records: &[Point], seed: u64) -> (PartyData, PartyData) {
+    match mode {
+        Mode::Horizontal => {
+            let (a, b) = split_alternating(records);
+            (PartyData::Horizontal(a), PartyData::Horizontal(b))
+        }
+        Mode::Enhanced => {
+            let (a, b) = split_alternating(records);
+            (PartyData::Enhanced(a), PartyData::Enhanced(b))
+        }
+        Mode::Vertical => {
+            let part = VerticalPartition::split(records, 1);
+            (
+                PartyData::Vertical(part.alice),
+                PartyData::Vertical(part.bob),
+            )
+        }
+        Mode::Arbitrary => {
+            let part = ArbitraryPartition::random(&mut rng(seed ^ 0xA5A5), records);
+            (
+                PartyData::Arbitrary(part.alice_values),
+                PartyData::Arbitrary(part.bob_values),
+            )
+        }
+        other => panic!("mode_views covers two-party modes only, got {other}"),
+    }
+}
+
+/// Runs one two-party mode over real TCP sockets via `Participant` and
+/// returns `(alice, bob)` outcomes.
+fn tcp_pair(
+    cfg: ProtocolConfig,
+    data_a: PartyData,
+    data_b: PartyData,
+    seed: u64,
+) -> (SessionOutcome, SessionOutcome) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let alice = Participant::new(cfg)
+        .role(Party::Alice)
+        .data(data_a)
+        .seed(seed);
+    let alice_thread = std::thread::spawn(move || over_tcp(Some(listener), addr, alice));
+    let bob = Participant::new(cfg)
+        .role(Party::Bob)
+        .data(data_b)
+        .seed(seed + 1);
+    let bob = over_tcp(None, addr, bob);
+    (alice_thread.join().unwrap(), bob)
+}
+
+#[test]
+fn every_two_party_mode_runs_over_tcp_with_identical_outputs() {
+    let records = blobs(9, 404);
+    let mut cfg = base_cfg();
+    cfg.key_bits = 128; // four modes × two transports: keep the test quick
+    for mode in TWO_PARTY_MODES {
+        let seed = 31;
+        let (data_a, data_b) = mode_views(mode, &records, seed);
+        let (mem_a, mem_b) = run_participants(
+            Participant::new(cfg)
+                .role(Party::Alice)
+                .data(data_a.clone())
+                .seed(seed),
+            Participant::new(cfg)
+                .role(Party::Bob)
+                .data(data_b.clone())
+                .seed(seed + 1),
+        )
+        .unwrap();
+        let (tcp_a, tcp_b) = tcp_pair(cfg, data_a, data_b, seed);
+        assert_output_parity(&format!("{mode}/tcp/alice"), &mem_a.output, &tcp_a.output);
+        assert_output_parity(&format!("{mode}/tcp/bob"), &mem_b.output, &tcp_b.output);
+        assert_eq!(tcp_a.meta, mem_a.meta, "{mode}: negotiated metadata");
+        assert_eq!(tcp_a.meta.wire_version, WIRE_VERSION);
+        assert_eq!(tcp_a.meta.mode, mode);
+    }
+}
+
+#[test]
+fn multiparty_runs_over_tcp_mesh_with_identical_outputs() {
+    let all = blobs(9, 606);
+    let parties: Vec<Vec<Point>> = (0..3)
+        .map(|p| {
+            all.iter()
+                .enumerate()
+                .filter(|(i, _)| i % 3 == p)
+                .map(|(_, pt)| pt.clone())
+                .collect()
+        })
+        .collect();
+    let mut cfg = base_cfg();
+    cfg.key_bits = 128;
+    let seed = 13u64;
+    let reference = run_mesh_local(&cfg, &parties, seed).unwrap();
+
+    // Build a real TCP full mesh: one socket pair per party pair, the
+    // lower id accepting.
+    let k = parties.len();
+    let mut mesh: Vec<Vec<(usize, TcpChannel)>> = (0..k).map(|_| Vec::new()).collect();
+    for i in 0..k {
+        for j in i + 1..k {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let accept = std::thread::spawn(move || TcpChannel::accept(&listener).unwrap());
+            let connect = TcpChannel::connect(addr).unwrap();
+            mesh[i].push((j, accept.join().unwrap()));
+            mesh[j].push((i, connect));
+        }
+    }
+
+    let mut handles = Vec::new();
+    for (my_id, (mut peers, points)) in mesh.drain(..).zip(parties.iter()).enumerate() {
+        let participant = Participant::new(cfg)
+            .data(PartyData::Multiparty(points.clone()))
+            .seed(seed.wrapping_add(my_id as u64));
+        handles.push(std::thread::spawn(move || {
+            participant.run_mesh(&mut peers, my_id, 3).unwrap()
+        }));
+    }
+    for (i, handle) in handles.into_iter().enumerate() {
+        let outcome = handle.join().unwrap();
+        assert_output_parity(
+            &format!("multiparty/tcp/party{i}"),
+            &reference[i].output,
+            &outcome.output,
+        );
+        assert_eq!(outcome.meta, reference[i].meta, "party {i}: metadata");
+    }
+}
+
+/// The round-batching bound: a vertical run at n ≥ 64 ships its region
+/// queries in at most a tenth as many wire rounds as logical messages (the
+/// paper's per-comparison framing would pay one round per message), with
+/// the clustering still exactly the centralized reference.
+#[test]
+fn vertical_n64_rounds_are_at_most_a_tenth_of_logical_messages() {
+    let records = blobs(66, 4242);
+    assert!(records.len() >= 64, "need n >= 64, got {}", records.len());
+    let partition = VerticalPartition::split(&records, 1);
+    let cfg = base_cfg();
+    let (a, b) = run_vertical_pair(&cfg, &partition, rng(1), rng(2)).unwrap();
+    assert_eq!(a.clustering, dbscan(&records, cfg.params));
+    assert_eq!(b.clustering, a.clustering);
+    for (side, out) in [("alice", &a), ("bob", &b)] {
+        let (rounds, messages) = (out.traffic.total_rounds(), out.traffic.total_messages());
+        assert!(
+            rounds * 10 <= messages,
+            "{side}: {rounds} wire rounds for {messages} logical messages (wanted <= 1/10)"
+        );
+    }
 }
 
 #[test]
@@ -118,14 +302,14 @@ fn vertical_protocol_over_real_tcp_sockets() {
 #[test]
 fn batched_vertical_protocol_over_real_tcp_sockets() {
     // The round-batched pipeline on its target deployment path: real
-    // sockets. Same labels as the in-memory batched run, byte-identical
-    // traffic snapshot (including the new rounds counters), and the round
-    // collapse visible end to end.
+    // sockets. Same labels as the in-memory run, byte-identical traffic
+    // snapshot (including the rounds counters), and the round collapse
+    // visible end to end.
     let records: Vec<Point> = (0..10)
         .map(|i| Point::new(vec![(i % 5) * 2, i / 5]))
         .collect();
     let partition = VerticalPartition::split(&records, 1);
-    let c = cfg(2, 2, 10).with_batching(true);
+    let c = cfg(2, 2, 10);
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -144,7 +328,6 @@ fn batched_vertical_protocol_over_real_tcp_sockets() {
             .rng(rng(31)),
     );
     let a_outcome = alice_thread.join().unwrap();
-    assert!(a_outcome.meta.batching && b_outcome.meta.batching);
     let (a_out, b_out) = (a_outcome.output, b_outcome.output);
 
     assert_eq!(a_out.clustering, dbscan(&records, c.params));

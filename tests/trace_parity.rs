@@ -220,8 +220,8 @@ fn assert_trace_accounts(name: &str, trace: &SessionTrace, total: MetricsSnapsho
     );
 }
 
-/// (batching, packing) framings under test; packing requires batching.
-const FRAMINGS: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+/// Transport framings under test: unpacked and slot-packed responses.
+const PACKINGS: [bool; 2] = [false, true];
 
 #[test]
 fn two_party_modes_are_byte_identical_traced_vs_untraced() {
@@ -252,9 +252,9 @@ fn two_party_modes_are_byte_identical_traced_vs_untraced() {
         ),
     ];
     for (mode, alice, bob) in &modes {
-        for (batching, packing) in FRAMINGS {
-            let name = format!("{mode}/batching={batching}/packing={packing}");
-            let cfg = base_cfg().with_batching(batching).with_packing(packing);
+        for packing in PACKINGS {
+            let name = format!("{mode}/packing={packing}");
+            let cfg = base_cfg().with_packing(packing);
             let (u_a, u_b, u_ha, u_hb) = run_pair(&cfg, alice.clone(), bob.clone(), false);
             let (t_a, t_b, t_ha, t_hb) = run_pair(&cfg, alice.clone(), bob.clone(), true);
             assert_same_session(&format!("{name}/alice"), &u_a, &t_a);
@@ -270,9 +270,9 @@ fn two_party_modes_are_byte_identical_traced_vs_untraced() {
 #[test]
 fn multiparty_mesh_is_byte_identical_traced_vs_untraced() {
     let all = blobs(18, 9_300);
-    for (batching, packing) in FRAMINGS {
-        let name = format!("multiparty/batching={batching}/packing={packing}");
-        let cfg = base_cfg().with_batching(batching).with_packing(packing);
+    for packing in PACKINGS {
+        let name = format!("multiparty/packing={packing}");
+        let cfg = base_cfg().with_packing(packing);
         let (untraced, u_hashes) = run_mesh(&cfg, &all, false);
         let (traced, t_hashes) = run_mesh(&cfg, &all, true);
         for (i, (u, t)) in untraced.iter().zip(&traced).enumerate() {
@@ -291,7 +291,7 @@ fn traced_vertical_chrome_export_is_loadable_and_accounts_exactly() {
     // sum exactly to the session's total traffic snapshot.
     let all = blobs(18, 9_400);
     let vp = VerticalPartition::split(&all, 1);
-    let cfg = base_cfg().with_batching(true).with_packing(true);
+    let cfg = base_cfg().with_packing(true);
     let (outcome, _, _, _) = run_pair(
         &cfg,
         PartyData::Vertical(vp.alice.clone()),
