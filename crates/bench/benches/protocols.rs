@@ -115,7 +115,7 @@ fn bench_config_validate(c: &mut Criterion) {
 }
 
 /// The vertical protocol end to end on both SMC substrates (n = 12,
-/// round-batched; packing on for the Paillier row — its best framing).
+/// round-batched, slot-packed Paillier replies).
 /// Criterion measures wall time; the wire bytes each substrate moves are
 /// printed once per row, since the byte cut is the backend's headline
 /// delta (the full-size figures live in E12 / BENCH_protocols.json).
@@ -127,7 +127,7 @@ fn bench_backend_vertical_e2e(c: &mut Criterion) {
     let mut group = c.benchmark_group("vertical_e2e_backends_n12");
     group.sample_size(10);
     for (label, cfg) in [
-        ("paillier_packed", w.cfg.with_packing(true)),
+        ("paillier", w.cfg),
         ("sharing", w.cfg.with_backend(BackendKind::Sharing)),
     ] {
         let (out, _) = run_vertical_pair(&cfg, &vertical, rng(5), rng(6)).unwrap();

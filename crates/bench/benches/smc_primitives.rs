@@ -4,7 +4,9 @@
 //! round trips. A single operation is the one-item batch of its primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ppdbscan::config::ProtocolConfig;
 use ppds_bigint::{BigInt, BigUint};
+use ppds_dbscan::DbscanParams;
 use ppds_paillier::Keypair;
 use ppds_smc::compare::{
     compare_batch_alice, compare_batch_bob, CmpOp, Comparator, ComparisonDomain,
@@ -13,7 +15,7 @@ use ppds_smc::kth::{kth_smallest_with, SelectionMethod};
 use ppds_smc::multiplication::{
     dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
 };
-use ppds_smc::{PaillierBackend, Party, ProtocolContext, SharingLedger};
+use ppds_smc::{PaillierBackend, Party, ProtocolContext, ResponsePacking, SharingLedger};
 use ppds_transport::{duplex, MemoryChannel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,6 +30,23 @@ fn keypair() -> &'static Keypair {
     KP.get_or_init(|| Keypair::generate(256, &mut rng(0)))
 }
 
+/// `(multiplication, dot product)` response packings as a 256-bit session
+/// derives them for four attributes of coordinate bound 100 at σ = 20:
+/// wide enough for every mask these benches draw.
+fn packings() -> &'static (ResponsePacking, ResponsePacking) {
+    static PACKINGS: OnceLock<(ResponsePacking, ResponsePacking)> = OnceLock::new();
+    PACKINGS.get_or_init(|| {
+        let cfg = ProtocolConfig::new(
+            DbscanParams {
+                eps_sq: 25,
+                min_pts: 3,
+            },
+            100,
+        );
+        ppdbscan::domain::response_packings(&cfg, 4).unwrap()
+    })
+}
+
 /// One multiplication exchange over `groups` (one frame each way), with
 /// zero-sum masks per group.
 fn mul_exchange(xs_groups: Vec<Vec<BigInt>>, ys_groups: &[Vec<BigInt>], seed: u64) {
@@ -39,7 +58,7 @@ fn mul_exchange(xs_groups: Vec<Vec<BigInt>>, ys_groups: &[Vec<BigInt>], seed: u6
             keypair(),
             &xs_groups,
             |g| kctx.at(g as u64),
-            None,
+            &packings().0,
         )
         .unwrap()
     });
@@ -56,7 +75,7 @@ fn mul_exchange(xs_groups: Vec<Vec<BigInt>>, ys_groups: &[Vec<BigInt>], seed: u6
             )
         },
         |g| pctx.at(g as u64),
-        None,
+        &packings().0,
     )
     .unwrap();
     handle.join().unwrap();
@@ -88,7 +107,7 @@ fn bench_multiplication(c: &mut Criterion) {
                         keypair(),
                         &xs2,
                         1,
-                        None,
+                        &packings().1,
                         &ProtocolContext::new(3),
                     )
                     .unwrap()
@@ -98,7 +117,7 @@ fn bench_multiplication(c: &mut Criterion) {
                     &keypair().public,
                     &ys,
                     &BigUint::from_u64(1 << 30),
-                    None,
+                    &packings().1,
                     &ProtocolContext::new(4),
                 )
                 .unwrap();
@@ -120,7 +139,6 @@ fn compare_once(comparator: Comparator, a: i64, b: i64, op: CmpOp, domain: Compa
             &[a],
             op,
             &domain,
-            false,
             &ProtocolContext::new(5),
         )
         .unwrap()
@@ -132,7 +150,6 @@ fn compare_once(comparator: Comparator, a: i64, b: i64, op: CmpOp, domain: Compa
         &[b],
         op,
         &domain,
-        false,
         &ProtocolContext::new(6),
     )
     .unwrap();
@@ -171,9 +188,8 @@ fn bench_kth_selection(c: &mut Criterion) {
         my_keypair: keypair(),
         peer_pk: &keypair().public,
         comparator: Comparator::Ideal,
-        packed: false,
-        mul_packing: None,
-        dot_packing: None,
+        mul_packing: packings().0.clone(),
+        dot_packing: packings().1.clone(),
         mul_mask_bound: BigUint::zero(),
         dot_mask_bound: BigUint::zero(),
     };
@@ -294,15 +310,18 @@ fn bench_parallel_batch_encryption(c: &mut Criterion) {
                             keypair(),
                             &groups2,
                             |g| kctx.at(g as u64),
-                            None,
+                            &packings().0,
                         )
                         .unwrap()
                     });
-                    // Absorb and answer with the ciphertexts unchanged so the
-                    // bench isolates the keyholder's encrypt+decrypt work.
+                    // Absorb and answer with the first ⌈64/capacity⌉
+                    // ciphertexts as the reply words, so the bench isolates
+                    // the keyholder's encrypt+decrypt work.
                     use ppds_transport::Channel;
                     let cts: Vec<Vec<ppds_bigint::BigUint>> = pchan.recv_batch().unwrap();
-                    pchan.send_batch(&cts).unwrap();
+                    let words = packings().0.layout.words_for(64);
+                    let reply: Vec<_> = cts.into_iter().flatten().take(words).collect();
+                    pchan.send(&reply).unwrap();
                     handle.join().unwrap()
                 });
             },
@@ -311,107 +330,25 @@ fn bench_parallel_batch_encryption(c: &mut Criterion) {
     group.finish();
 }
 
-/// Packed vs unpacked DGK reply: one comparison over a 10-bit domain at
-/// 256-bit keys. Unpacked, Bob ships ℓ = 10 masked ciphertexts and Alice
-/// decrypts all 10; packed, the verdict vector rides one word and Alice
-/// decrypts once — the reply-leg cost drops by the layout capacity.
-fn bench_dgk_reply_packing(c: &mut Criterion) {
-    use ppds_smc::bitwise::{
-        dgk_batch_alice, dgk_batch_bob, dgk_batch_packed_alice, dgk_batch_packed_bob,
-    };
+/// One DGK comparison over a 10-bit domain at 256-bit keys: ℓ = 10
+/// encrypted bits out, one packed reply word back, one decryption.
+fn bench_dgk_compare(c: &mut Criterion) {
+    use ppds_smc::bitwise::{dgk_batch_alice, dgk_batch_bob};
     let bound = 1023u64; // ℓ = 10
     let mut group = c.benchmark_group("dgk_compare_256bit_l10");
     group.sample_size(10);
-    for (label, packed) in [("unpacked", false), ("packed", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let (mut achan, mut bchan) = duplex();
-                let handle = std::thread::spawn(move || {
-                    let ctx = ProtocolContext::new(1);
-                    if packed {
-                        dgk_batch_packed_alice(&mut achan, keypair(), &[400], bound, &ctx)
-                    } else {
-                        dgk_batch_alice(&mut achan, keypair(), &[400], bound, &ctx)
-                    }
-                    .unwrap()
-                });
-                let (pk, ctx) = (&keypair().public, ProtocolContext::new(2));
-                if packed {
-                    dgk_batch_packed_bob(&mut bchan, pk, &[700], bound, &ctx)
-                } else {
-                    dgk_batch_bob(&mut bchan, pk, &[700], bound, &ctx)
-                }
-                .unwrap();
-                handle.join().unwrap()
+    group.bench_function("compare", |b| {
+        b.iter(|| {
+            let (mut achan, mut bchan) = duplex();
+            let handle = std::thread::spawn(move || {
+                let ctx = ProtocolContext::new(1);
+                dgk_batch_alice(&mut achan, keypair(), &[400], bound, &ctx).unwrap()
             });
+            let (pk, ctx) = (&keypair().public, ProtocolContext::new(2));
+            dgk_batch_bob(&mut bchan, pk, &[700], bound, &ctx).unwrap();
+            handle.join().unwrap()
         });
-    }
-    group.finish();
-}
-
-/// Packed vs unpacked dot-many response: one enhanced-protocol
-/// neighborhood answer (24 masked distances) at 256-bit keys. Unpacked:
-/// 24 response ciphertexts, 24 keyholder decryptions. Packed: the
-/// responses share words (~6 slots each here), so both the response bytes
-/// and the decryption count drop by the packing factor.
-fn bench_dot_many_packing(c: &mut Criterion) {
-    use ppds_paillier::SlotLayout;
-    use ppds_smc::multiplication::{dot_many_keyholder, dot_many_peer, ResponsePacking};
-    let rows: Vec<Vec<BigInt>> = (0..24)
-        .map(|j| {
-            vec![
-                BigInt::from_i64(1),
-                BigInt::from_i64(j % 7),
-                BigInt::from_i64(j % 5),
-                BigInt::from_i64((j % 7) * (j % 7) + (j % 5) * (j % 5)),
-            ]
-        })
-        .collect();
-    let xs: Vec<BigInt> = [25i64, -6, -8, 1]
-        .iter()
-        .map(|&v| BigInt::from_i64(v))
-        .collect();
-    let mask_bound = ppds_bigint::BigUint::from_u64(1 << 20);
-    let packing = ResponsePacking {
-        layout: SlotLayout::new(keypair().public.bits(), 24).unwrap(),
-        offset: ppds_bigint::BigUint::from_u64((1 << 20) + 200),
-    };
-    let mut group = c.benchmark_group("dot_many_24rows_256bit");
-    group.sample_size(10);
-    for (label, packed) in [("unpacked", false), ("packed", true)] {
-        let packing = packed.then(|| packing.clone());
-        let rows = rows.clone();
-        let xs = xs.clone();
-        let mask_bound = mask_bound.clone();
-        group.bench_function(label, move |b| {
-            b.iter(|| {
-                let (mut kchan, mut pchan) = duplex();
-                let xs2 = xs.clone();
-                let p2 = packing.clone();
-                let handle = std::thread::spawn(move || {
-                    dot_many_keyholder(
-                        &mut kchan,
-                        keypair(),
-                        &xs2,
-                        24,
-                        p2.as_ref(),
-                        &ProtocolContext::new(3),
-                    )
-                    .unwrap()
-                });
-                dot_many_peer(
-                    &mut pchan,
-                    &keypair().public,
-                    &rows,
-                    &mask_bound,
-                    packing.as_ref(),
-                    &ProtocolContext::new(4),
-                )
-                .unwrap();
-                handle.join().unwrap()
-            });
-        });
-    }
+    });
     group.finish();
 }
 
@@ -460,7 +397,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
                         keypair(),
                         &xs2,
                         24,
-                        None,
+                        &packings().1,
                         &ProtocolContext::new(3),
                     )
                     .unwrap()
@@ -470,7 +407,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
                     &keypair().public,
                     &rows,
                     &mask_bound,
-                    None,
+                    &packings().1,
                     &ProtocolContext::new(4),
                 )
                 .unwrap();
@@ -580,7 +517,7 @@ fn bench_kernel_legs(c: &mut Criterion) {
 
 /// The two batched SMC workhorses on both substrates (DESIGN.md §14), at
 /// k ∈ {4, 16, 64, 256}: `dot_many` with k responder rows (one
-/// neighborhood answer) against the packed-Paillier variant, and
+/// neighborhood answer) on Paillier and on sharing, and
 /// `mul_batches` with k four-element groups (one fused Algorithm 2
 /// sweep). Same dataflow and channel round trips either way — the delta
 /// is 8-byte ring elements plus dealer-tape derivation versus 256-bit
@@ -589,7 +526,6 @@ fn bench_backend_workhorses(c: &mut Criterion) {
     use ppds_paillier::SlotLayout;
     use ppds_smc::multiplication::{
         dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
-        ResponsePacking,
     };
     use ppds_smc::sharing::{
         sharing_dot_querier, sharing_dot_responder, sharing_fold_keyholder_batch,
@@ -617,7 +553,7 @@ fn bench_backend_workhorses(c: &mut Criterion) {
             .iter()
             .map(|r| r.iter().map(|&v| Fe::embed(v)).collect())
             .collect();
-        group.bench_with_input(BenchmarkId::new("paillier_packed", k), &k, |b, &k| {
+        group.bench_with_input(BenchmarkId::new("paillier", k), &k, |b, &k| {
             b.iter(|| {
                 let (mut kchan, mut pchan) = duplex();
                 let xs2: Vec<BigInt> = xs.iter().map(|&v| BigInt::from_i64(v)).collect();
@@ -628,7 +564,7 @@ fn bench_backend_workhorses(c: &mut Criterion) {
                         keypair(),
                         &xs2,
                         k,
-                        Some(&p2),
+                        &p2,
                         &ProtocolContext::new(3),
                     )
                     .unwrap()
@@ -638,7 +574,7 @@ fn bench_backend_workhorses(c: &mut Criterion) {
                     &keypair().public,
                     &rows_big,
                     &mask_bound,
-                    Some(&packing),
+                    &packing,
                     &ProtocolContext::new(4),
                 )
                 .unwrap();
@@ -688,21 +624,15 @@ fn bench_backend_workhorses(c: &mut Criterion) {
             .iter()
             .map(|r| r.iter().map(|&v| Fe::embed(v)).collect())
             .collect();
-        group.bench_with_input(BenchmarkId::new("paillier_packed", k), &k, |b, _| {
+        group.bench_with_input(BenchmarkId::new("paillier", k), &k, |b, _| {
             b.iter(|| {
                 let (mut kchan, mut pchan) = duplex();
                 let g2 = groups_big.clone();
                 let p2 = fold_packing.clone();
                 let handle = std::thread::spawn(move || {
                     let kctx = ProtocolContext::new(20).narrow("mul");
-                    mul_batches_keyholder(
-                        &mut kchan,
-                        keypair(),
-                        &g2,
-                        |g| kctx.at(g as u64),
-                        Some(&p2),
-                    )
-                    .unwrap()
+                    mul_batches_keyholder(&mut kchan, keypair(), &g2, |g| kctx.at(g as u64), &p2)
+                        .unwrap()
                 });
                 let pctx = ProtocolContext::new(21).narrow("mul");
                 mul_batches_peer(
@@ -711,7 +641,7 @@ fn bench_backend_workhorses(c: &mut Criterion) {
                     &groups_big,
                     |g| zero_sum_masks(pctx.narrow("mask").at(g as u64).rng(), 4, &mask_bound),
                     |g| pctx.at(g as u64),
-                    Some(&fold_packing),
+                    &fold_packing,
                 )
                 .unwrap();
                 handle.join().unwrap()
@@ -759,8 +689,7 @@ criterion_group!(
     bench_batching_ablation,
     bench_keyed_derivation,
     bench_parallel_batch_encryption,
-    bench_dgk_reply_packing,
-    bench_dot_many_packing,
+    bench_dgk_compare,
     bench_kernel_legs,
     bench_trace_overhead,
     bench_backend_workhorses

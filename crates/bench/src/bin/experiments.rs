@@ -8,18 +8,17 @@
 //! `cargo run -p ppds-bench --bin experiments --release -- [e1..e13|e13smoke|f1|all]`
 //! `cargo run -p ppds-bench --bin experiments --release -- --json <path>`
 //!
-//! `--json <path>` runs the round-batching (E10), slot-packing (E11) and
-//! sharing-backend (E12) protocol sweeps and writes per-protocol
-//! `{backend, packing, rounds, messages, bytes, modeled_lan_ms,
-//! modeled_wan_ms}` records — the bench trajectory future PRs diff against
-//! (the repo keeps one run as `BENCH_protocols.json`).
+//! `--json <path>` runs the round-batching (E10) and sharing-backend (E12)
+//! protocol sweeps and writes per-protocol `{backend, rounds, messages,
+//! bytes, modeled_lan_ms, modeled_wan_ms}` records — the bench trajectory
+//! future PRs diff against (the repo keeps one run as
+//! `BENCH_protocols.json`).
 //!
 //! `--backend <paillier|sharing>` restricts the sweeps (and the trajectory)
 //! to one SMC substrate; by default both are swept so the trajectory carries
-//! per-backend rows. E11 (slot packing) and E12 (the cross-backend
-//! comparison) are Paillier-anchored and are skipped under
-//! `--backend sharing`, which instead prints the E10 rows on the sharing
-//! substrate.
+//! per-backend rows. E12 (the cross-backend comparison) is
+//! Paillier-anchored and is skipped under `--backend sharing`, which
+//! instead prints the E10 rows on the sharing substrate.
 
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{run_participants, Participant, PartyData};
@@ -39,7 +38,9 @@ use ppds_smc::compare::{
 use ppds_smc::kth::{kth_smallest_with, SelectionMethod};
 use ppds_smc::millionaires;
 use ppds_smc::multiplication::{mul_batches_keyholder, mul_batches_peer};
-use ppds_smc::{BackendKind, PaillierBackend, Party, ProtocolContext, SharingLedger};
+use ppds_smc::{
+    BackendKind, PaillierBackend, Party, ProtocolContext, ResponsePacking, SharingLedger,
+};
 use ppds_transport::{duplex, Channel, CostModel};
 use std::sync::Arc;
 use std::time::Instant;
@@ -355,6 +356,22 @@ fn e5() {
     println!("protocol's output itself is the neighborhood structure.");
 }
 
+/// The `(multiplication, dot product)` response packings a session with
+/// `key_bits`-bit keys derives for `dim` attributes of coordinate bound
+/// 100 at σ = 20: the reply layout the stand-alone primitive experiments
+/// use (offsets above 2^33, so every mask they draw fits).
+fn session_packings(key_bits: usize, dim: usize) -> (ResponsePacking, ResponsePacking) {
+    let mut cfg = ProtocolConfig::new(
+        DbscanParams {
+            eps_sq: 25,
+            min_pts: 3,
+        },
+        100,
+    );
+    cfg.key_bits = key_bits;
+    ppdbscan::domain::response_packings(&cfg, dim).expect("keys of 64+ bits fit one slot")
+}
+
 /// E6 — §4.1: the Multiplication Protocol costs O(c1) per invocation.
 fn e6() {
     section("E6  Multiplication Protocol cost vs key size (§4.1)");
@@ -365,8 +382,10 @@ fn e6() {
         let keypair = Keypair::generate(key_bits, &mut rng(40));
         let keygen = t0.elapsed();
         let reps = 20;
+        let (packing, _) = session_packings(key_bits, 1);
         let (mut kchan, mut pchan) = duplex();
         let kp = keypair.clone();
+        let p2 = packing.clone();
         let handle = std::thread::spawn(move || {
             let kctx = ProtocolContext::new(41);
             // One product per call: the one-group, one-element batch.
@@ -376,7 +395,7 @@ fn e6() {
                     &kp,
                     &[vec![BigInt::from_i64(37 + i)]],
                     |_| kctx.at(i as u64),
-                    None,
+                    &p2,
                 )
                 .unwrap();
             }
@@ -397,7 +416,7 @@ fn e6() {
                     )]
                 },
                 |_| pctx.at(i as u64),
-                None,
+                &packing,
             )
             .unwrap();
         }
@@ -440,7 +459,6 @@ fn e7() {
                 &[2],
                 CmpOp::Lt,
                 &domain,
-                false,
                 &ProtocolContext::new(51),
             )
             .unwrap();
@@ -454,7 +472,6 @@ fn e7() {
             &[5.min(n0 as i64 - 2)],
             CmpOp::Lt,
             &domain,
-            false,
             &ProtocolContext::new(52),
         )
         .unwrap();
@@ -481,6 +498,9 @@ fn e7() {
 fn e8() {
     section("E8  k-th smallest selection: repeated-min vs quickselect (§5)");
     let keypair = Keypair::generate(64, &mut rng(60));
+    // Selection only compares; the backend still carries the response
+    // packings a 64-bit session derives.
+    let (mul_packing, dot_packing) = session_packings(64, 2);
     let widths = [5, 5, 15, 14];
     print_header(&widths, &["n", "k", "repeated-min", "quickselect"]);
     for n in [16usize, 32, 64] {
@@ -498,9 +518,8 @@ fn e8() {
                     my_keypair: &keypair,
                     peer_pk: &keypair.public,
                     comparator: Comparator::Ideal,
-                    packed: false,
-                    mul_packing: None,
-                    dot_packing: None,
+                    mul_packing: mul_packing.clone(),
+                    dot_packing: dot_packing.clone(),
                     mul_mask_bound: BigUint::zero(),
                     dot_mask_bound: BigUint::zero(),
                 };
@@ -594,7 +613,6 @@ fn e9() {
 struct ProtocolRow {
     protocol: &'static str,
     backend: &'static str,
-    packing: bool,
     rounds: u64,
     messages: u64,
     bytes: u64,
@@ -603,7 +621,7 @@ struct ProtocolRow {
 }
 
 /// Runs one closure per two-party protocol family on the canonical n = 36
-/// blob workload (shared by the E10, E11 and E12 sweeps).
+/// blob workload (shared by the E10 and E12 sweeps).
 #[allow(clippy::type_complexity)]
 fn protocol_runs<'a>(
     w: &'a ppds_bench::Workload,
@@ -650,7 +668,6 @@ fn row_from(protocol: &'static str, cfg: &ProtocolConfig, out: &PartyOutput) -> 
     ProtocolRow {
         protocol,
         backend: cfg.backend.name(),
-        packing: cfg.packing,
         rounds: t.total_rounds(),
         messages: t.total_messages(),
         bytes: t.total_bytes(),
@@ -661,7 +678,7 @@ fn row_from(protocol: &'static str, cfg: &ProtocolConfig, out: &PartyOutput) -> 
 
 /// Runs every two-party protocol family once on the canonical n = 36 blob
 /// workload and returns one row per protocol, all on the given SMC
-/// substrate, unpacked.
+/// substrate.
 fn protocol_sweep(backend: BackendKind) -> Vec<ProtocolRow> {
     let w = blob_workload(36, 2, 9_100);
     let vp = VerticalPartition::split(&w.all, 1);
@@ -671,29 +688,6 @@ fn protocol_sweep(backend: BackendKind) -> Vec<ProtocolRow> {
         .iter()
         .map(|(protocol, run)| row_from(protocol, &cfg, &run(&cfg).0))
         .collect();
-    rows
-}
-
-/// Runs every two-party protocol family with plaintext-slot packing on and
-/// off on the same workload and seeds as [`protocol_sweep`]. Labels,
-/// leakage, and the Yao ledger are asserted identical before any number is
-/// reported.
-fn packing_sweep() -> Vec<ProtocolRow> {
-    // Slot packing is a Paillier transport concern, so this sweep always
-    // runs on the default (Paillier) substrate.
-    let w = blob_workload(36, 2, 9_100);
-    let vp = VerticalPartition::split(&w.all, 1);
-    let ap = ArbitraryPartition::random(&mut rng(9_101), &w.all);
-    let mut rows = Vec::new();
-    for (protocol, run) in &protocol_runs(&w, &vp, &ap) {
-        let packed_cfg = w.cfg.with_packing(true);
-        let plain = run(&w.cfg);
-        let packed = run(&packed_cfg);
-        assert_eq!(plain.0.clustering, packed.0.clustering, "{protocol}");
-        assert_eq!(plain.0.leakage, packed.0.leakage, "{protocol}");
-        assert_eq!(plain.0.yao, packed.0.yao, "{protocol}");
-        rows.push(row_from(protocol, &packed_cfg, &packed.0));
-    }
     rows
 }
 
@@ -755,69 +749,14 @@ fn e10(backend: BackendKind) -> Vec<ProtocolRow> {
     rows
 }
 
-/// E11 — plaintext-slot packing: the ciphertext-heavy response legs (DGK
-/// verdict vectors, masked-distance and masked-product replies, the Ideal
-/// comparator's verdict-sized padding) ride packed Paillier words, so
-/// bytes — and keyholder decryptions — drop by roughly the packing factor
-/// while labels, leakage, and the Yao ledger are unchanged (asserted).
-fn e11(baseline: &[ProtocolRow]) -> Vec<ProtocolRow> {
-    section("E11  Slot packing: wire bytes with packed response words (n = 36)");
-    let packed = packing_sweep();
-    let widths = [20, 5, 11, 11, 7, 10];
-    print_header(
-        &widths,
-        &[
-            "protocol",
-            "pack",
-            "wire bytes",
-            "WAN ms",
-            "bytes x",
-            "rounds",
-        ],
-    );
-    let mut rows = Vec::new();
-    for row in packed {
-        let unpacked = baseline
-            .iter()
-            .find(|r| r.protocol == row.protocol && r.backend == "paillier" && !r.packing)
-            .expect("baseline row exists");
-        for (r, factor) in [
-            (unpacked, String::new()),
-            (
-                &row,
-                format!("{:.1}x", unpacked.bytes as f64 / row.bytes as f64),
-            ),
-        ] {
-            print_row(
-                &widths,
-                &[
-                    r.protocol.into(),
-                    if r.packing { "on" } else { "off" }.into(),
-                    fmt_bytes(r.bytes),
-                    format!("{:.0}", r.wan_ms),
-                    factor.clone(),
-                    format!("{}", r.rounds),
-                ],
-            );
-        }
-        rows.push(row);
-    }
-    println!("\nLabels, leakage, and the Yao ledger are identical packed vs unpacked");
-    println!("(asserted); only the transport of masked responses changes. The DGK");
-    println!("request leg (per-bit ciphertexts) cannot pack, which bounds that");
-    println!("backend's end-to-end cut at ~2x; reply legs cut by the full capacity.");
-    rows
-}
-
 /// E12 — DESIGN.md §14: the additive-sharing backend replaces every
 /// ciphertext leg of the three SMC workhorses with 8-byte ring elements.
-/// Each protocol family is run on packed Paillier (its best framing) and on
-/// the sharing substrate; labels and leakage logs are asserted identical
+/// Each protocol family is run on Paillier and on the sharing substrate; labels and leakage logs are asserted identical
 /// before any number is reported, and the vertical protocol must cut wire
 /// bytes by at least 10x (the PR's acceptance bar). The dealer-tape
 /// precomputation the online run consumes is ledgered per row.
 fn e12() -> Vec<ProtocolRow> {
-    section("E12  Secret-sharing backend vs packed Paillier (n = 36)");
+    section("E12  Secret-sharing backend vs Paillier (n = 36)");
     let w = blob_workload(36, 2, 9_100);
     let vp = VerticalPartition::split(&w.all, 1);
     let ap = ArbitraryPartition::random(&mut rng(9_101), &w.all);
@@ -836,7 +775,7 @@ fn e12() -> Vec<ProtocolRow> {
     );
     let mut rows = Vec::new();
     for (protocol, run) in &protocol_runs(&w, &vp, &ap) {
-        let paillier_cfg = w.cfg.with_packing(true);
+        let paillier_cfg = w.cfg;
         let sharing_cfg = w.cfg.with_backend(BackendKind::Sharing);
         let p = run(&paillier_cfg);
         let s = run(&sharing_cfg);
@@ -1056,12 +995,11 @@ fn write_bench_json(
     out.push_str("  \"protocols\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"backend\": \"{}\", \"packing\": {}, \
+            "    {{\"protocol\": \"{}\", \"backend\": \"{}\", \
              \"rounds\": {}, \"messages\": {}, \"bytes\": {}, \"modeled_lan_ms\": {:.3}, \
              \"modeled_wan_ms\": {:.3}}}{}\n",
             row.protocol,
             row.backend,
-            row.packing,
             row.rounds,
             row.messages,
             row.bytes,
@@ -1231,17 +1169,15 @@ fn f1() {
     println!("See `cargo run --release --example figure1_attack` for the full demo.");
 }
 
-/// The full sweep chain (E10 → E11 → E12), honouring the `--backend`
+/// The full sweep chain (E10 → E12), honouring the `--backend`
 /// restriction: `Some(Paillier)` drops the sharing rows, `Some(Sharing)`
-/// drops the Paillier rows (and with them the Paillier-anchored E11/E12,
+/// drops the Paillier rows (and with them the Paillier-anchored E12,
 /// printing E10 on the sharing substrate instead), `None`
 /// emits per-backend rows for the full trajectory.
 fn run_sweeps(backend: Option<BackendKind>) -> Vec<ProtocolRow> {
     let mut rows = Vec::new();
     if backend != Some(BackendKind::Sharing) {
         rows = e10(BackendKind::Paillier);
-        let packed = e11(&rows);
-        rows.extend(packed);
     }
     match backend {
         Some(BackendKind::Paillier) => {}
@@ -1253,7 +1189,7 @@ fn run_sweeps(backend: Option<BackendKind>) -> Vec<ProtocolRow> {
 
 /// Every experiment selector `main` accepts, in help order.
 const SELECTORS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e13smoke",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e12", "e13", "e13smoke",
     "sweeps", "f1", "all",
 ];
 
@@ -1350,12 +1286,6 @@ fn main() {
         "e8" => e8(),
         "e9" => e9(),
         "e10" => sweep_rows = Some(e10(backend.unwrap_or_default())),
-        "e11" => {
-            let mut rows = protocol_sweep(BackendKind::Paillier);
-            let packed = e11(&rows);
-            rows.extend(packed);
-            sweep_rows = Some(rows);
-        }
         "e12" => sweep_rows = Some(e12()),
         "e13" => scaling_rows = Some(e13(10_000)),
         "e13smoke" => scaling_rows = Some(e13(1_000)),
@@ -1389,11 +1319,7 @@ fn main() {
             write_trace_json(path, &runs);
         }
         if let Some(path) = &json_path {
-            let rows = sweep_rows.unwrap_or_else(|| {
-                let mut rows = protocol_sweep(BackendKind::Paillier);
-                rows.extend(packing_sweep());
-                rows
-            });
+            let rows = sweep_rows.unwrap_or_else(|| protocol_sweep(BackendKind::Paillier));
             let scaling = scaling_rows.unwrap_or_else(|| e13(10_000));
             write_bench_json(path, &rows, &runs, &scaling);
         }

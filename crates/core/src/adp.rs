@@ -245,7 +245,7 @@ mod tests {
                     &mut acct,
                 )
             } else {
-                let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim);
+                let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim).unwrap();
                 adp_compare_set_alice(
                     &mut achan,
                     &cfg,
@@ -281,7 +281,7 @@ mod tests {
                 &mut acct,
             )
         } else {
-            let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim);
+            let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim).unwrap();
             adp_compare_set_bob(
                 &mut bchan,
                 &cfg,

@@ -86,7 +86,7 @@ impl ModeDriver for ArbitraryDriver<'_> {
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
         let (cfg, values) = (mctx.cfg, self.values);
-        let backend = mctx.backend(self.dim());
+        let backend = mctx.backend(self.dim())?;
         // With grid pruning, each party publishes coarse bands at the
         // attribute cells it owns (the rest stay sentinel-marked), the
         // tables are merged owner-wise, and both sides derive identical

@@ -37,18 +37,12 @@ pub struct ProtocolConfig {
     /// reads it, and [`ProtocolConfig::validate`] rejects `false` with a
     /// typed [`CoreError::Config`].
     pub batching: bool,
-    /// Plaintext-slot packing: when `true`, the ciphertext-heavy *response*
-    /// legs ride packed Paillier words (`ppds_paillier::SlotLayout`)
-    /// instead of one ciphertext per value — the DGK masked verdict vector
-    /// ships `⌈ℓ/capacity⌉` words per comparison, masked-product and
-    /// masked-distance replies pack `capacity` slots per word, and the
-    /// Ideal comparator pads its verdict-sized message to the packed
-    /// transcript size — cutting response bytes and the keyholder's
-    /// decryption count by roughly the packing factor (~20× at 1024-bit
-    /// keys with 48-bit slots). Labels, leakage, and the Yao ledger are
-    /// byte-identical to unpacked runs under the same seeds (pinned by the
-    /// `packing_parity` integration tests). Both parties must agree — the
-    /// handshake rejects a mismatch by name. See DESIGN.md §10.
+    /// Retired knob, kept so existing callers still compile. Slot packing
+    /// is the only Paillier response encoding (DESIGN.md §10): every
+    /// response leg packs its masked values into shared Paillier words
+    /// whose layout is derived from public data. Defaults to `true`; no
+    /// protocol code reads it, and [`ProtocolConfig::validate`] rejects
+    /// `false` with a typed [`CoreError::Config`].
     pub packing: bool,
     /// Cryptographic substrate for the three SMC workhorses (comparison /
     /// share-comparison, masked multiplication folds, masked dot products):
@@ -83,7 +77,7 @@ impl ProtocolConfig {
             selection: SelectionMethod::RepeatedMin,
             mask_bits: 20,
             batching: true,
-            packing: false,
+            packing: true,
             backend: BackendKind::Paillier,
             pruning: Pruning::Exhaustive,
         }
@@ -96,9 +90,9 @@ impl ProtocolConfig {
         ProtocolConfig { batching, ..self }
     }
 
-    /// Returns a copy with plaintext-slot packing switched on or off (both
-    /// parties must agree; the handshake rejects a mismatch). See
-    /// [`ProtocolConfig::packing`].
+    /// Returns a copy with the retired [`ProtocolConfig::packing`] knob
+    /// set. `true` is the only valid value; `false` fails
+    /// [`ProtocolConfig::validate`] before any frame is sent.
     pub fn with_packing(self, packing: bool) -> Self {
         ProtocolConfig { packing, ..self }
     }
@@ -137,22 +131,27 @@ impl ProtocolConfig {
         }
     }
 
-    /// Rejects the retired unbatched framing (`batching = false`). Checked
-    /// by [`ProtocolConfig::validate`] and, for modes whose dimension is
-    /// only known after the handshake, before the handshake starts.
-    pub(crate) fn check_framing(&self) -> Result<(), CoreError> {
-        if self.batching {
-            Ok(())
-        } else {
-            Err(CoreError::config(
+    /// Rejects the retired unbatched framing (`batching = false`) and
+    /// unpacked encoding (`packing = false`). Checked by
+    /// [`ProtocolConfig::validate`] and, for modes whose dimension is only
+    /// known after the handshake, before the handshake starts.
+    pub(crate) fn check_retired_knobs(&self) -> Result<(), CoreError> {
+        if !self.batching {
+            return Err(CoreError::config(
                 "batching = false is no longer supported: round batching is the only framing",
-            ))
+            ));
         }
+        if !self.packing {
+            return Err(CoreError::config(
+                "packing = false is no longer supported: slot packing is the only response encoding",
+            ));
+        }
+        Ok(())
     }
 
     /// Checks internal consistency for data of dimension `dim`.
     pub fn validate(&self, dim: usize) -> Result<(), CoreError> {
-        self.check_framing()?;
+        self.check_retired_knobs()?;
         if self.params.min_pts == 0 {
             return Err(CoreError::config("MinPts must be at least 1"));
         }
@@ -202,15 +201,11 @@ impl ProtocolConfig {
                 )));
             }
         }
-        if self.packing
-            && (crate::domain::mul_response_packing(self, dim).is_none()
-                || crate::domain::dot_response_packing(self, dim).is_none())
-        {
-            return Err(CoreError::config(format!(
-                "key_bits = {} cannot fit one packed response slot for this \
-                 coord_bound/mask_bits; raise key_bits or disable packing",
-                self.key_bits
-            )));
+        if self.backend == BackendKind::Paillier {
+            crate::domain::response_packings(self, dim)?;
+            if self.comparator == Comparator::Dgk {
+                crate::domain::check_dgk_reply_slot(self, dim)?;
+            }
         }
         Ok(())
     }
@@ -271,9 +266,15 @@ mod tests {
         let cfg = ProtocolConfig::new(params(25, 4), 100);
         assert!(cfg.validate(2).is_ok());
         assert!(cfg.batching, "round batching is the only framing");
-        match cfg.with_batching(false).validate(2) {
-            Err(CoreError::Config(msg)) => assert!(msg.contains("batching"), "{msg}"),
-            other => panic!("wanted a batching config error, got {other:?}"),
+        assert!(cfg.packing, "slot packing is the only response encoding");
+        for (retired, knob) in [
+            (cfg.with_batching(false), "batching"),
+            (cfg.with_packing(false), "packing"),
+        ] {
+            match retired.validate(2) {
+                Err(CoreError::Config(msg)) => assert!(msg.contains(knob), "{msg}"),
+                other => panic!("wanted a {knob} config error, got {other:?}"),
+            }
         }
         assert_eq!(
             cfg.backend,
@@ -334,6 +335,26 @@ mod tests {
         let mut cfg = ProtocolConfig::new(params(25, 4), 1 << 20);
         cfg.mask_bits = 40;
         assert!(cfg.validate(8).is_err());
+    }
+
+    #[test]
+    fn paillier_keys_must_fit_one_dgk_reply_slot() {
+        // C = 1, σ = 0: masked products and distances fit 4- and 7-bit
+        // slots, but a DGK reply slot (ℓ = 6 here) needs 22 bits, more than
+        // a 20-bit key holds.
+        let mut tiny = ProtocolConfig::new_with_dgk(params(1, 2), 1);
+        tiny.mask_bits = 0;
+        tiny.key_bits = 20;
+        assert!(ProtocolConfig {
+            comparator: Comparator::Ideal,
+            ..tiny
+        }
+        .validate(2)
+        .is_ok());
+        match tiny.validate(2) {
+            Err(CoreError::Config(msg)) => assert!(msg.contains("DGK"), "{msg}"),
+            other => panic!("wanted a DGK layout config error, got {other:?}"),
+        }
     }
 
     #[test]

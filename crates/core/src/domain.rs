@@ -7,6 +7,7 @@
 //! once, exactly, and tested against brute-force enumeration.
 
 use crate::config::ProtocolConfig;
+use crate::error::CoreError;
 use ppds_bigint::BigUint;
 use ppds_paillier::SlotLayout;
 use ppds_smc::compare::ComparisonDomain;
@@ -70,15 +71,15 @@ fn response_packing(key_bits: usize, offset: BigUint) -> Option<ResponsePacking>
     Some(ResponsePacking { layout, offset })
 }
 
-/// Packing for Multiplication Protocol responses (`ProtocolConfig::packing`
-/// on the HDP/ADP legs): each slot holds `x·y + r + offset` with
+/// Packing for Multiplication Protocol responses (the HDP/ADP legs): each
+/// slot holds `x·y + r + offset` with
 /// `|x·y| ≤ C²` and `r` one of a group's zero-sum blinding terms. The
 /// first `dim − 1` terms are bounded by
 /// [`ProtocolConfig::mul_mask_bound`], but the *closing* term balances
 /// their sum and can reach `(dim − 1)·mask_bound`, so the offset budgets
 /// `C² + dim·mask_bound` (covering both shapes with a term to spare).
-/// `None` when `key_bits` cannot fit one slot —
-/// [`ProtocolConfig::validate`] rejects such configs up front.
+/// `None` when `key_bits` cannot fit one slot — [`response_packings`]
+/// turns that into the config error [`ProtocolConfig::validate`] reports.
 pub fn mul_response_packing(cfg: &ProtocolConfig, dim: usize) -> Option<ResponsePacking> {
     let c2 = BigUint::from_u128((cfg.coord_bound as u128) * (cfg.coord_bound as u128));
     let mask_budget = &cfg.mul_mask_bound() * dim.max(1) as u64;
@@ -96,6 +97,47 @@ pub fn dot_response_packing(cfg: &ProtocolConfig, dim: usize) -> Option<Response
         cfg.key_bits,
         &BigUint::from_u64(d_max) + &BigUint::from_u64(v),
     )
+}
+
+/// Both response packings a Paillier session over `dim`-attribute data
+/// uses — `(multiplication, dot product)` — or a typed config error when
+/// the key cannot fit one slot of either. [`ProtocolConfig::validate`]
+/// runs this check, so every validated Paillier session has both.
+pub fn response_packings(
+    cfg: &ProtocolConfig,
+    dim: usize,
+) -> Result<(ResponsePacking, ResponsePacking), CoreError> {
+    match (
+        mul_response_packing(cfg, dim),
+        dot_response_packing(cfg, dim),
+    ) {
+        (Some(mul), Some(dot)) => Ok((mul, dot)),
+        _ => Err(CoreError::config(format!(
+            "key_bits = {} cannot fit one packed response slot for this \
+             coord_bound/mask_bits; raise key_bits",
+            cfg.key_bits
+        ))),
+    }
+}
+
+/// Checks that the key fits one DGK reply slot
+/// ([`ppds_smc::bitwise::dgk_pack_layout`]) on the widest comparison
+/// domain any mode uses at this dimension; the slot width grows with the
+/// domain, so every narrower domain fits too.
+pub(crate) fn check_dgk_reply_slot(cfg: &ProtocolConfig, dim: usize) -> Result<(), CoreError> {
+    let widest = [hdp_domain, vdp_domain, adp_domain, enhanced_share_domain]
+        .iter()
+        .map(|domain| domain(cfg, dim).n0())
+        .max()
+        .expect("four domains");
+    match ppds_smc::bitwise::dgk_pack_layout(cfg.key_bits, widest) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(CoreError::config(format!(
+            "key_bits = {} cannot fit one DGK reply slot for domain size {widest}; \
+             raise key_bits",
+            cfg.key_bits
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -29,29 +29,18 @@
 //! masked-share exchange per phase over `Z_2^64` (DESIGN.md §14).
 
 use crate::config::{ProtocolConfig, YaoLedger};
-use crate::domain::{dot_response_packing, enhanced_share_domain};
+use crate::domain::enhanced_share_domain;
 use crate::error::CoreError;
 use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use ppds_dbscan::{Clustering, Point};
 use ppds_observe::trace;
 use ppds_smc::compare::CmpOp;
 use ppds_smc::kth::kth_smallest_with;
-use ppds_smc::ResponsePacking;
 use ppds_smc::{
     LeakageEvent, LeakageLog, Party, ProtocolContext, SharingLedger, SmcBackend, SmcError,
 };
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
-
-/// The masked-distance response packing this config selects: `Some` when
-/// `cfg.packing` is on (validated configs always have a layout).
-pub(crate) fn dot_packing(cfg: &ProtocolConfig, dim: usize) -> Option<ResponsePacking> {
-    if cfg.packing {
-        dot_response_packing(cfg, dim)
-    } else {
-        None
-    }
-}
 
 /// Querier side of one enhanced core-point test. `own_count` is the size of
 /// the querier's *local* Eps-neighborhood of `query` (including the point
@@ -261,7 +250,7 @@ impl ModeDriver for EnhancedDriver<'_> {
     ) -> Result<Clustering, CoreError> {
         let (cfg, points) = (mctx.cfg, self.points);
         let dim = points.first().map_or(0, Point::dim);
-        let backend = mctx.backend(dim);
+        let backend = mctx.backend(dim)?;
         // Grid pruning: identical per-query coarse-cell exchange as the
         // basic horizontal driver, run *before* the (engage, k) message so
         // the engage decision can use the candidate cardinality.
@@ -397,7 +386,8 @@ mod tests {
         let nb = responder_points.len();
         let (mut qchan, mut rchan) = duplex();
         let q = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, querier_kp(), &responder_kp().public, dim);
+            let backend =
+                paillier_backend(&cfg, querier_kp(), &responder_kp().public, dim).unwrap();
             let mut ledger = YaoLedger::default();
             let mut acct = SharingLedger::default();
             let mut leakage = LeakageLog::new();
@@ -416,7 +406,7 @@ mod tests {
             .unwrap();
             (is_core, leakage)
         });
-        let backend = paillier_backend(&cfg, responder_kp(), &querier_kp().public, dim);
+        let backend = paillier_backend(&cfg, responder_kp(), &querier_kp().public, dim).unwrap();
         let mut ledger = YaoLedger::default();
         let mut acct = SharingLedger::default();
         let mut r_leakage = LeakageLog::new();

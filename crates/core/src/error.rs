@@ -18,7 +18,7 @@ pub enum CoreError {
     /// the same `field`, sides swapped.
     HandshakeMismatch {
         /// Name of the disagreeing handshake field (e.g. `"eps_sq"`,
-        /// `"packing"`, `"wire_version"`).
+        /// `"backend"`, `"wire_version"`).
         field: &'static str,
         /// The value this side advertised.
         ours: u64,

@@ -31,7 +31,6 @@ use crate::config::{ProtocolConfig, YaoLedger};
 use crate::domain::hdp_domain;
 use ppds_dbscan::Point;
 use ppds_smc::compare::CmpOp;
-use ppds_smc::ResponsePacking;
 use ppds_smc::{
     LeakageEvent, LeakageLog, Party, ProtocolContext, SharingLedger, SmcBackend, SmcError,
 };
@@ -160,17 +159,6 @@ pub fn hdp_respond_batch<C: Channel, B: SmcBackend>(
     Ok(count)
 }
 
-/// The Multiplication Protocol response packing this config selects for
-/// `dim`-attribute groups: `Some` when `cfg.packing` is on (validated
-/// configs always have a layout), `None` otherwise.
-pub(crate) fn mul_packing(cfg: &ProtocolConfig, dim: usize) -> Option<ResponsePacking> {
-    if cfg.packing {
-        crate::domain::mul_response_packing(cfg, dim)
-    } else {
-        None
-    }
-}
-
 impl ProtocolConfig {
     /// Mask bound for the Multiplication Protocol's blinding terms:
     /// `C² · 2^σ`, so each masked product `a_k·b_k + r_k` hides its value
@@ -219,7 +207,8 @@ mod tests {
         let nb = responder_points.len();
         let cfg_q = *cfg;
         let q = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg_q, querier_kp(), &responder_kp().public, 2);
+            let backend =
+                paillier_backend(&cfg_q, querier_kp(), &responder_kp().public, 2).unwrap();
             let mut ledger = YaoLedger::default();
             let mut acct = SharingLedger::default();
             let count = hdp_query_querier_batch(
@@ -240,7 +229,7 @@ mod tests {
             );
             (count, ledger, qchan.metrics())
         });
-        let backend = paillier_backend(cfg, responder_kp(), &querier_kp().public, 2);
+        let backend = paillier_backend(cfg, responder_kp(), &querier_kp().public, 2).unwrap();
         let mut ledger = YaoLedger::default();
         let mut acct = SharingLedger::default();
         let mut leakage = LeakageLog::new();

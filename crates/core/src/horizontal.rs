@@ -186,7 +186,7 @@ impl ModeDriver for HorizontalDriver<'_> {
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
         let (cfg, session, points) = (mctx.cfg, mctx.session, self.points);
-        let backend = mctx.backend(points.first().map_or(0, Point::dim));
+        let backend = mctx.backend(points.first().map_or(0, Point::dim))?;
         // Grid pruning: local queries go through the ε-grid, and each
         // cross-party query is preceded by a coarse-cell exchange that
         // narrows the served set to band-intersecting peer points (see

@@ -35,7 +35,7 @@ use ppds_dbscan::{dist_sq, Clustering, Label, Point};
 use ppds_paillier::{Keypair, PublicKey};
 use ppds_smc::compare::{compare_batch_alice, compare_batch_bob, CmpOp};
 use ppds_smc::multiplication::{mul_batches_keyholder, mul_batches_peer, zero_sum_masks};
-use ppds_smc::{LeakageEvent, LeakageLog, Party, ProtocolContext, SmcError};
+use ppds_smc::{LeakageEvent, LeakageLog, Party, ProtocolContext, ResponsePacking, SmcError};
 use ppds_transport::Channel;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -60,6 +60,7 @@ fn kumar_query<C: Channel>(
     query: &Point,
     query_id: u64,
     responder_count: usize,
+    packing: &ResponsePacking,
     ctx: &ProtocolContext,
     ledger: &mut YaoLedger,
 ) -> Result<usize, SmcError> {
@@ -84,7 +85,7 @@ fn kumar_query<C: Channel>(
             &[&ys],
             |_| zero_sum_masks(mask_ctx.rng_for(pos), dim, &cfg.mul_mask_bound()),
             |_| mul_ctx.at(pos),
-            None,
+            packing,
         )?;
         ledger.record(cfg.key_bits, domain.n0());
         let within = compare_batch_alice(
@@ -94,7 +95,6 @@ fn kumar_query<C: Channel>(
             &[i_val],
             CmpOp::Leq,
             &domain,
-            false,
             &cmp_ctx.at(pos),
         )?;
         count += within[0] as usize;
@@ -110,6 +110,7 @@ fn kumar_respond<C: Channel>(
     my_keypair: &Keypair,
     querier_pk: &PublicKey,
     my_points: &[Point],
+    packing: &ResponsePacking,
     ctx: &ProtocolContext,
     ledger: &mut YaoLedger,
     leakage: &mut LeakageLog,
@@ -125,7 +126,8 @@ fn kumar_respond<C: Channel>(
             .iter()
             .map(|&c| BigInt::from_i64(c))
             .collect();
-        let ws = mul_batches_keyholder(chan, my_keypair, &[xs], |_| mul_ctx.at(idx as u64), None)?;
+        let ws =
+            mul_batches_keyholder(chan, my_keypair, &[xs], |_| mul_ctx.at(idx as u64), packing)?;
         let inner: i64 = ws[0]
             .iter()
             .fold(BigInt::zero(), |acc, w| &acc + w)
@@ -140,7 +142,6 @@ fn kumar_respond<C: Channel>(
             &[j_val],
             CmpOp::Leq,
             &domain,
-            false,
             &cmp_ctx.at(idx as u64),
         )?[0];
         leakage.record(LeakageEvent::LinkedNeighborBit {
@@ -164,6 +165,7 @@ pub fn kumar_party<C: Channel>(
     let dim = my_points.first().map_or(0, Point::dim);
     cfg.validate(dim.max(1))?;
     crate::horizontal::check_points(cfg, my_points)?;
+    let (packing, _) = crate::domain::response_packings(cfg, dim)?;
     let keypair = Keypair::generate(cfg.key_bits, &mut ctx.narrow("keygen").rng());
     let session = establish(
         chan,
@@ -207,6 +209,7 @@ pub fn kumar_party<C: Channel>(
                 &my_points[idx],
                 idx as u64,
                 session.peer_n,
+                &packing,
                 &qctx,
                 ledger,
             )?;
@@ -279,6 +282,7 @@ pub fn kumar_party<C: Channel>(
                         &session.my_keypair,
                         &session.peer_pk,
                         my_points,
+                        &packing,
                         &qctx,
                         ledger,
                         leakage,

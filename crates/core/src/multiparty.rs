@@ -182,7 +182,6 @@ pub(crate) fn run_mesh_node<C: Channel>(
         meta: SessionMeta {
             wire_version: WIRE_VERSION,
             mode: Mode::Multiparty,
-            packing: cfg.packing,
             backend: cfg.backend,
             pruning: cfg.pruning,
             peers: peer_meta,
@@ -237,7 +236,7 @@ fn query_phase<C: Channel>(
             chan.send(&TAG_QUERY)?;
             let session = &sessions[pos].1;
             let backend =
-                crate::backend::backend_for(cfg, session, points.first().map_or(0, Point::dim));
+                crate::backend::backend_for(cfg, session, points.first().map_or(0, Point::dim))?;
             let qctx = querier_ctx.at(*peer_id as u64).narrow("hdp").at(query_no);
             let responder_count = match width {
                 Some(w) => crate::prune::query_candidate_count(
@@ -334,7 +333,7 @@ fn respond_phase<C: Channel>(
 ) -> Result<(), CoreError> {
     let serve_ctx = pair_ctx.narrow("hdp");
     let backend =
-        crate::backend::backend_for(cfg, session, my_points.first().map_or(0, Point::dim));
+        crate::backend::backend_for(cfg, session, my_points.first().map_or(0, Point::dim))?;
     let grid = match cfg.pruning {
         ppds_dbscan::Pruning::Grid { coarseness } => {
             let w = ppds_dbscan::band_width(cfg.params.eps_sq, coarseness);

@@ -59,6 +59,7 @@ use ppds_paillier::{FillerHandle, Keypair, PublicKey, RandomizerPool};
 use ppds_smc::compare::Comparator;
 use ppds_smc::kth::SelectionMethod;
 use ppds_smc::{setup, BackendKind, DealerTape, LeakageLog, Party, ProtocolContext, SharingLedger};
+use ppds_transport::channel::MAX_FRAME_BYTES;
 use ppds_transport::wire::{Reader, WireDecode, WireEncode};
 use ppds_transport::{duplex, Channel, MemoryChannel, TransportError};
 use rand::rngs::StdRng;
@@ -78,8 +79,10 @@ use std::sync::Arc;
 /// exchange immediately after the `Hello` frames; `5` adds the required
 /// `pruning` field (candidate-generation policy: exhaustive all-pairs vs
 /// grid-derived candidate sets); `6` drops the `batching` field (round
-/// batching is the only framing, so there is nothing to negotiate).
-pub const WIRE_VERSION: u32 = 6;
+/// batching is the only framing, so there is nothing to negotiate); `7`
+/// drops the `packing` field (slot packing is the only Paillier response
+/// encoding).
+pub const WIRE_VERSION: u32 = 7;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,8 +159,8 @@ const F_KEY_BITS: u8 = 7;
 const F_COMPARATOR: u8 = 8;
 const F_SELECTION: u8 = 9;
 const F_MASK_BITS: u8 = 10;
-// Tag 11 carried the `batching` knob up to wire v5; it stays retired.
-const F_PACKING: u8 = 12;
+// Tag 11 carried the `batching` knob up to wire v5 and tag 12 the
+// `packing` knob up to wire v6; both stay retired.
 /// Optional session-id field (server deployments): a client *proposes* an
 /// id in its preamble `Hello` (0 or absent = "assign me one") and the
 /// server's accept reply carries the id actually granted. Not in
@@ -169,7 +172,7 @@ const F_PRUNING: u8 = 15;
 
 /// Fields that must be byte-equal between the two halves (record count and
 /// dimension are informational / mode-dependent and checked separately).
-const AGREED_FIELDS: [(u8, &str); 11] = [
+const AGREED_FIELDS: [(u8, &str); 10] = [
     (F_MODE, "mode"),
     (F_COORD_BOUND, "coord_bound"),
     (F_EPS_SQ, "eps_sq"),
@@ -178,7 +181,6 @@ const AGREED_FIELDS: [(u8, &str); 11] = [
     (F_COMPARATOR, "comparator"),
     (F_SELECTION, "selection"),
     (F_MASK_BITS, "mask_bits"),
-    (F_PACKING, "packing"),
     (F_BACKEND, "backend"),
     (F_PRUNING, "pruning"),
 ];
@@ -234,7 +236,6 @@ impl Hello {
                 (F_COMPARATOR, comparator_tag(cfg.comparator)),
                 (F_SELECTION, selection_tag(cfg.selection)),
                 (F_MASK_BITS, cfg.mask_bits as u64),
-                (F_PACKING, cfg.packing as u64),
                 (F_BACKEND, u64::from(cfg.backend.tag())),
                 (F_PRUNING, cfg.pruning.tag()),
             ],
@@ -287,11 +288,6 @@ impl Hello {
     /// The attribute count the sender advertised (0 = no points).
     pub fn dim(&self) -> Option<u64> {
         self.field(F_DIM)
-    }
-
-    /// Whether the sender wants plaintext-slot packing, if advertised.
-    pub fn packing(&self) -> Option<bool> {
-        self.field(F_PACKING).map(|v| v != 0)
     }
 
     /// The SMC substrate the sender advertised, if present and known.
@@ -387,6 +383,17 @@ impl Hello {
                     "peer handshake omits the {name} field"
                 )));
             }
+        }
+        // Drivers size per-query buffers by the peer's record count, so an
+        // untrusted count must be bounded before anything uses it. Every
+        // per-record batch item costs at least one byte, so no honest peer
+        // holds more records than one frame can carry.
+        let records = theirs.field(F_RECORDS).expect("presence checked above");
+        if records > MAX_FRAME_BYTES {
+            return Err(CoreError::mismatch(format!(
+                "peer handshake advertises record_count {records}, more than one \
+                 batch frame can carry ({MAX_FRAME_BYTES})"
+            )));
         }
         if dim_must_match {
             let (ours, peer) = (
@@ -574,7 +581,7 @@ pub(crate) trait ModeDriver {
 /// randomizers — prefilled synchronously, then topped up by `fillers`
 /// background threads (0 = prefill only) for the lifetime of the protocol
 /// body. Every hot-path encryption under either key (protocol `encrypt`
-/// calls, DGK re-randomization, packed-word nonces) then consumes pooled
+/// calls, packed-word nonces) then consumes pooled
 /// `r^n` factors instead of exponentiating inline.
 ///
 /// Trade-off: pooled nonces come from the pool's own streams, so wire
@@ -632,7 +639,7 @@ where
     C: Channel,
     D: ModeDriver,
 {
-    cfg.check_framing()?;
+    cfg.check_retired_knobs()?;
     driver.validate(cfg)?;
     let keygen_span = trace::span("keygen", || chan.metrics());
     let keypair = match keypair {
@@ -670,7 +677,6 @@ where
         meta: SessionMeta {
             wire_version: WIRE_VERSION,
             mode,
-            packing: cfg.packing,
             backend: cfg.backend,
             pruning: cfg.pruning,
             peers: vec![PeerInfo {
@@ -753,8 +759,6 @@ pub struct SessionMeta {
     pub wire_version: u32,
     /// The negotiated protocol family.
     pub mode: Mode,
-    /// Whether plaintext-slot packing was active (both sides must agree).
-    pub packing: bool,
     /// The negotiated SMC substrate (both sides must agree).
     pub backend: BackendKind,
     /// The negotiated candidate-generation policy (both sides must agree).
@@ -1177,9 +1181,22 @@ mod tests {
         assert_eq!(back.mode(), Some(Mode::Vertical));
         assert_eq!(back.records(), Some(5));
         assert_eq!(back.dim(), Some(2));
-        assert_eq!(back.packing(), Some(false));
         assert_eq!(back.backend(), Some(BackendKind::Paillier));
         assert_eq!(back.pruning(), Some(Pruning::Exhaustive));
+    }
+
+    #[test]
+    fn hello_rejects_record_counts_no_frame_can_carry() {
+        let mine = Hello::for_session(&cfg(), Mode::Horizontal, 3, 2);
+        let at_bound = Hello::for_session(&cfg(), Mode::Horizontal, MAX_FRAME_BYTES as usize, 2);
+        assert!(mine.check_compatible(&at_bound, true).is_ok());
+        for forged in [MAX_FRAME_BYTES + 1, u64::MAX] {
+            let theirs = Hello::for_session(&cfg(), Mode::Horizontal, forged as usize, 2);
+            match mine.check_compatible(&theirs, true).unwrap_err() {
+                CoreError::Mismatch(msg) => assert!(msg.contains("record_count"), "{msg}"),
+                other => panic!("wanted a record_count mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -137,7 +137,7 @@ mod tests {
                     &mut acct,
                 )
             } else {
-                let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim);
+                let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim).unwrap();
                 vdp_compare_set_alice(
                     &mut achan,
                     &cfg,
@@ -166,7 +166,7 @@ mod tests {
                 &mut acct,
             )
         } else {
-            let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim);
+            let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim).unwrap();
             vdp_compare_set_bob(
                 &mut bchan,
                 &cfg,

@@ -174,7 +174,7 @@ impl ModeDriver for VerticalDriver<'_> {
         let (cfg, session, attrs) = (mctx.cfg, mctx.session, self.attrs);
         let my_dim = attrs.first().map_or(1, Point::dim);
         let total_dim = my_dim + session.peer_dim;
-        let backend = mctx.backend(total_dim);
+        let backend = mctx.backend(total_dim)?;
         // With grid pruning, both sides publish coarse bands over the
         // attributes they own (disclosure ledgered inside the oracle) and
         // derive identical joined-band candidate sets.

@@ -38,16 +38,6 @@ impl ClusteringJob {
         ClusteringJob { cfg, request, seed }
     }
 
-    /// Returns the job with plaintext-slot packing switched on or off (see
-    /// [`ProtocolConfig::with_packing`]): ciphertext-heavy response legs
-    /// ride packed Paillier words, cutting response bytes and keyholder
-    /// decryptions by roughly the packing factor while labels, leakage,
-    /// and the Yao ledger stay identical under the same seed.
-    pub fn with_packing(mut self, packing: bool) -> Self {
-        self.cfg = self.cfg.with_packing(packing);
-        self
-    }
-
     /// Returns the job with the given candidate-pruning policy (see
     /// [`ProtocolConfig::with_pruning`]): grid pruning replaces all-pairs
     /// secure comparison with band-intersecting candidate sets, trading a

@@ -220,37 +220,6 @@ fn job_rounds_collapse_and_roll_up() {
 }
 
 #[test]
-fn packed_jobs_match_unpacked_with_fewer_bytes() {
-    // The engine-facing packing knob: same descriptor, same seed, one job
-    // packed — labels, leakage, and ledger identical, response bytes drop
-    // by the packing factor (the Ideal comparator's verdict padding packs).
-    let engine = Engine::start(EngineConfig::with_workers(2));
-    let make = || {
-        ClusteringJob::new(
-            cfg(8, 2, 10),
-            SessionRequest::Vertical(VerticalPartition::split(&random_points(10, 10, 556), 1)),
-            43,
-        )
-    };
-    let plain = engine.wait(engine.submit(make()));
-    let packed = engine.wait(engine.submit(make().with_packing(true)));
-    for (p, q) in plain.outputs().iter().zip(packed.outputs()) {
-        assert_eq!(p.clustering, q.clustering);
-        assert_eq!(p.leakage, q.leakage);
-        assert_eq!(p.yao, q.yao);
-        // 64-bit test keys only fit 2 verdict slots per word; production
-        // key sizes reach ~10-20x (see tests/packing_parity.rs at 256 bits).
-        assert!(
-            p.traffic.total_bytes() as f64 >= 1.8 * q.traffic.total_bytes() as f64,
-            "bytes {} vs {}",
-            p.traffic.total_bytes(),
-            q.traffic.total_bytes()
-        );
-    }
-    engine.shutdown();
-}
-
-#[test]
 fn resubmitted_job_reproduces_identical_results() {
     let engine = Engine::start(EngineConfig::with_workers(4));
     let job = horizontal_job(99);

@@ -62,8 +62,7 @@ pub const PACKING_DISCIPLINE: &str = "slots-v1";
 ///
 /// Both parties derive the layout from *public* data only (the key size and
 /// the protocol's agreed value/mask bounds), so no extra negotiation is
-/// needed: a layout is part of the protocol the handshake's `packing` knob
-/// selects.
+/// needed. A layout of capacity 1 is the degenerate one-value word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotLayout {
     slot_bits: usize,
@@ -73,9 +72,8 @@ pub struct SlotLayout {
 impl SlotLayout {
     /// Layout with `slot_bits`-wide slots under a `key_bits`-bit modulus:
     /// `capacity = ⌊(key_bits − 1)/slot_bits⌋`. Returns `None` when not
-    /// even one slot fits (the packed protocol then degrades to the
-    /// unpacked form — deterministically on both sides, since the inputs
-    /// are public).
+    /// even one slot fits; the protocol layer rejects such configurations
+    /// before any frame is sent.
     pub fn new(key_bits: usize, slot_bits: usize) -> Option<SlotLayout> {
         if slot_bits == 0 {
             return None;
@@ -178,7 +176,7 @@ impl PublicKey {
     /// ciphertexts, each costing one `g^word` shortcut multiplication and
     /// **one** nonce exponentiation (served from the key's
     /// [`crate::RandomizerPool`] when one is attached) — versus one full
-    /// encryption per slot unpacked.
+    /// encryption per value at capacity 1.
     ///
     /// # Errors
     /// [`PaillierError::SlotOverflow`] if a slot value exceeds the layout's

@@ -10,8 +10,8 @@ use std::time::Duration;
 /// mode. The mode itself is implied by the [`PartyData`] variant.
 #[derive(Debug, Clone)]
 pub struct HostedMode {
-    /// The server's protocol configuration for this mode. The negotiable
-    /// knobs (`packing`, `pruning`) are adopted from each client's
+    /// The server's protocol configuration for this mode. The one
+    /// negotiable knob, `pruning`, is adopted from each client's
     /// preamble; everything else must match or the connection is rejected
     /// with a typed [`crate::proto::ServerReply::Incompatible`].
     pub cfg: ProtocolConfig,

@@ -70,15 +70,14 @@ fn route(path: &str, shared: &Arc<Shared>) -> (&'static str, &'static str, Strin
         }
         "/metrics" => (OK, TEXT, shared.metrics.render_text()),
         "/sessions" => {
-            let mut body = String::from("id mode state peer packing\n");
+            let mut body = String::from("id mode state peer\n");
             for row in shared.registry.snapshot() {
                 body.push_str(&format!(
-                    "{} {} {} {} {}\n",
+                    "{} {} {} {}\n",
                     row.id,
                     row.mode,
                     row.state.name(),
-                    row.peer,
-                    row.packing
+                    row.peer
                 ));
             }
             (OK, TEXT, body)

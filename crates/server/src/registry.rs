@@ -45,8 +45,6 @@ pub struct SessionInfo {
     pub peer: String,
     /// Current lifecycle state.
     pub state: SessionState,
-    /// Whether plaintext-slot packing was adopted for this session.
-    pub packing: bool,
 }
 
 struct Entry {
@@ -82,7 +80,7 @@ impl SessionRegistry {
     /// Registers a new session in [`SessionState::Queued`] and returns the
     /// granted id: `proposed` when nonzero and unused, the next free id
     /// otherwise.
-    pub fn admit(&self, proposed: u64, mode: Mode, peer: String, packing: bool) -> u64 {
+    pub fn admit(&self, proposed: u64, mode: Mode, peer: String) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let id = if proposed != 0 && !inner.entries.contains_key(&proposed) {
             proposed
@@ -101,7 +99,6 @@ impl SessionRegistry {
                     mode,
                     peer,
                     state: SessionState::Queued,
-                    packing,
                 },
                 trace: None,
             },
@@ -182,7 +179,7 @@ mod tests {
     use super::*;
 
     fn admit(reg: &SessionRegistry, proposed: u64) -> u64 {
-        reg.admit(proposed, Mode::Horizontal, "test".into(), false)
+        reg.admit(proposed, Mode::Horizontal, "test".into())
     }
 
     #[test]

@@ -378,7 +378,7 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
         return;
     };
 
-    // Adopt the client's negotiable knobs, then require agreement on
+    // Adopt the client's negotiable knob, then require agreement on
     // everything protocol-semantic. The outcome is cached per preamble
     // fingerprint: a reconnecting client with unchanged content reuses the
     // admission-checked config and skips re-negotiation.
@@ -397,7 +397,6 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
             .inc();
         let scfg = host
             .cfg
-            .with_packing(hello.packing().unwrap_or(host.cfg.packing))
             .with_pruning(hello.pruning().unwrap_or(host.cfg.pruning));
         let (n, dim) = host.data.shape();
         let mine = Hello::for_session(&scfg, mode, n, dim);
@@ -440,7 +439,7 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
     }
     let sid = shared
         .registry
-        .admit(hello.session_id().unwrap_or(0), mode, peer, scfg.packing);
+        .admit(hello.session_id().unwrap_or(0), mode, peer);
     // Count before replying: a client that has read `Accept` must already
     // be visible in the gauges a concurrent scrape reads.
     shared.metrics.counter("server_sessions_accepted").inc();

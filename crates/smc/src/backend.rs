@@ -183,12 +183,10 @@ pub struct PaillierBackend<'a> {
     pub peer_pk: &'a PublicKey,
     /// Comparison backend (Yao / Ideal / DGK).
     pub comparator: Comparator,
-    /// Plaintext-slot packing on comparison transcripts.
-    pub packed: bool,
     /// Packing layout for multiplication responses (dimension-dependent).
-    pub mul_packing: Option<ResponsePacking>,
+    pub mul_packing: ResponsePacking,
     /// Packing layout for dot-product responses (dimension-dependent).
-    pub dot_packing: Option<ResponsePacking>,
+    pub dot_packing: ResponsePacking,
     /// Mask bound for multiplication zero-sum masks.
     pub mul_mask_bound: BigUint,
     /// Mask bound for dot-product output masks.
@@ -218,19 +216,11 @@ impl SmcBackend for PaillierBackend<'_> {
                 values,
                 op,
                 domain,
-                self.packed,
                 ctx,
             ),
-            Party::Bob => compare_batch_bob(
-                self.comparator,
-                chan,
-                self.peer_pk,
-                values,
-                op,
-                domain,
-                self.packed,
-                ctx,
-            ),
+            Party::Bob => {
+                compare_batch_bob(self.comparator, chan, self.peer_pk, values, op, domain, ctx)
+            }
         }
     }
 
@@ -250,18 +240,11 @@ impl SmcBackend for PaillierBackend<'_> {
                 self.my_keypair,
                 pairs,
                 domain,
-                self.packed,
                 ctx,
             ),
-            Party::Bob => share_less_than_batch_bob(
-                self.comparator,
-                chan,
-                self.peer_pk,
-                pairs,
-                domain,
-                self.packed,
-                ctx,
-            ),
+            Party::Bob => {
+                share_less_than_batch_bob(self.comparator, chan, self.peer_pk, pairs, domain, ctx)
+            }
         }
     }
 
@@ -278,7 +261,7 @@ impl SmcBackend for PaillierBackend<'_> {
             self.my_keypair,
             &bigints(xs),
             expected_rows,
-            self.dot_packing.as_ref(),
+            &self.dot_packing,
             ctx,
         )?;
         raw.iter().map(|v| to_i64(v, "distance share")).collect()
@@ -297,7 +280,7 @@ impl SmcBackend for PaillierBackend<'_> {
             self.peer_pk,
             &rows_big,
             &self.dot_mask_bound,
-            self.dot_packing.as_ref(),
+            &self.dot_packing,
             ctx,
         )?;
         masks.iter().map(|v| to_i64(v, "distance share")).collect()
@@ -323,7 +306,7 @@ impl SmcBackend for PaillierBackend<'_> {
             self.my_keypair,
             &xs_groups,
             |g| mul_ctx.at(records[g]),
-            self.mul_packing.as_ref(),
+            &self.mul_packing,
         )?;
         all.iter().map(|ws| fold(ws)).collect()
     }
@@ -352,7 +335,7 @@ impl SmcBackend for PaillierBackend<'_> {
                 )
             },
             |g| mul_ctx.at(records[g]),
-            self.mul_packing.as_ref(),
+            &self.mul_packing,
         )?;
         Ok(())
     }

@@ -12,16 +12,19 @@
 //!    `x_i = 0`, `y_i = 1` and all more-significant bits agree, i.e. at the
 //!    unique position witnessing `x < y`. (The XOR is computable because
 //!    `y_j` is Bob's plaintext: `x ⊕ 0 = x`, `x ⊕ 1 = 1 − x`.)
-//! 3. Bob masks each `c_i` with a fresh random scalar, re-randomizes,
-//!    permutes, and returns the batch; Alice decrypts and learns whether a
-//!    zero occurs — the comparison bit and nothing else (the permutation
+//! 3. Bob masks each `c_i` with a fresh nonzero scalar, permutes, packs
+//!    the cells into slots of shared Paillier words (re-randomized per
+//!    word), and returns them; Alice decrypts and learns whether a zero
+//!    slot occurs — the comparison bit and nothing else (the permutation
 //!    hides the witnessing position; the scalars hide the magnitudes).
 //! 4. Alice tells Bob the conclusion, mirroring Algorithm 1 step 7.
 //!
-//! Communication: `2ℓ` ciphertexts + 1 bit, `ℓ = ⌈log₂ n0⌉` — versus
-//! Algorithm 1's `n0` residues and `n0` decryptions. Both parties learn
-//! exactly the comparison outcome, so the leakage profile (and therefore
-//! every theorem downstream) is unchanged.
+//! Communication: `ℓ + ⌈ℓ/capacity⌉` ciphertexts + 1 bit,
+//! `ℓ = ⌈log₂ n0⌉` — versus Algorithm 1's `n0` residues and `n0`
+//! decryptions. The slot `capacity` comes from [`dgk_pack_layout`], a
+//! function of public data. Both parties learn exactly the comparison
+//! outcome, so the leakage profile (and therefore every theorem
+//! downstream) is unchanged.
 //!
 //! Randomness: the mask scalars are value-rejection sampled and the
 //! permutation is value-dependent, so under the old threaded-`StdRng`
@@ -34,31 +37,36 @@
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
 use crate::parallel::par_map;
-use ppds_bigint::{random, BigUint};
+use ppds_bigint::BigUint;
 use ppds_paillier::{Ciphertext, Keypair, PublicKey, SlotLayout};
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Mask width for packed verdict slots: each masked cell `c·r` hides its
-/// magnitude behind a uniform nonzero `r < 2^16`. The unpacked reply sizes
-/// its scalars from the key instead (up to 64 bits) because a whole `Z_n`
-/// plaintext is available per cell; a packed slot budgets its width, and 16
-/// bits keeps the layout capacity high while staying in the same
-/// multiplicative-masking class — Alice learns only whether a zero slot
-/// exists either way (a zero survives any nonzero scalar, a non-zero never
-/// becomes one).
+/// Mask width of a reply slot: each masked cell `c·r` hides its magnitude
+/// behind a uniform nonzero `r < 2^16`. A slot budgets its width, and 16
+/// bits keeps the layout capacity high while staying in the
+/// multiplicative-masking class: Alice learns only whether a zero slot
+/// exists (a zero survives any nonzero scalar, a non-zero never becomes
+/// one).
 pub const DGK_PACK_MASK_BITS: usize = 16;
 
-/// Packed-reply layout for a DGK comparison over `domain_bound`: slots hold
-/// `c·r` with `c ≤ 3ℓ+2` and `r < 2^16`, derived from public data only
-/// (Alice's key size and the agreed domain), so both parties compute it
-/// locally. `None` when the key is too small for even one slot — the
-/// packed entry points then degrade to the unpacked reply, symmetrically.
-pub fn dgk_pack_layout(key_bits: usize, domain_bound: u64) -> Option<SlotLayout> {
+/// Reply layout for a DGK comparison over `domain_bound`: slots hold `c·r`
+/// with `c ≤ 3ℓ+2` and `r < 2^16`, derived from public data only (Alice's
+/// key size and the agreed domain), so both parties compute it locally.
+/// A key too small for even one slot is a typed error; session validation
+/// rejects such a configuration before any frame is sent.
+pub fn dgk_pack_layout(key_bits: usize, domain_bound: u64) -> Result<SlotLayout, SmcError> {
     let ell = bit_width(domain_bound);
     let max_cell = 3 * ell as u64 + 2;
-    SlotLayout::for_masked_values(key_bits, bit_width(max_cell), DGK_PACK_MASK_BITS)
+    SlotLayout::for_masked_values(key_bits, bit_width(max_cell), DGK_PACK_MASK_BITS).ok_or_else(
+        || {
+            SmcError::protocol(format!(
+                "a {key_bits}-bit key cannot fit one DGK reply slot for domain bound \
+                 {domain_bound}"
+            ))
+        },
+    )
 }
 
 /// Bit width needed to represent `value` (at least 1).
@@ -84,35 +92,9 @@ fn encrypt_bits<R: Rng>(
     Ok(cts.into_iter().map(|c| c.as_biguint().clone()).collect())
 }
 
-/// Step 3 worker: decrypt one masked, permuted comparison vector and report
-/// whether a zero (the unique `x < y` witness) occurs.
-fn scan_masked(keypair: &Keypair, masked: &[BigUint], ell: usize) -> Result<bool, SmcError> {
-    if masked.len() != ell {
-        return Err(SmcError::protocol(format!(
-            "expected {ell} comparison values, got {}",
-            masked.len()
-        )));
-    }
-    let cts: Vec<Ciphertext> = masked
-        .iter()
-        .map(|raw| Ciphertext::from_biguint(raw.clone()))
-        .collect();
-    // One batch inversion validates all ℓ cells before the CRT decryptions.
-    keypair.public.validate_many(&cts)?;
-    let mut x_lt_y = false;
-    for ct in &cts {
-        let value = keypair.private.decrypt_crt_prevalidated(ct)?;
-        if value.is_zero() {
-            x_lt_y = true; // the unique witnessing position
-        }
-    }
-    Ok(x_lt_y)
-}
-
 /// Step 2 core: the unmasked comparison cells
 /// `c_i = x_i − y_i + 1 + 3·Σ_{j<i} (x_j ⊕ y_j)` under Alice's key, in bit
-/// order — zero exactly at the unique position witnessing `x < y`. Shared
-/// by the per-cell (unpacked) and packed-word reply builders.
+/// order — zero exactly at the unique position witnessing `x < y`.
 fn comparison_cells(
     alice_pk: &PublicKey,
     raw_bits: &[BigUint],
@@ -165,46 +147,15 @@ fn comparison_cells(
     Ok(cells)
 }
 
-/// Step 2 worker: Bob's masked, permuted comparison vector for one input —
-/// one ciphertext per cell.
-fn masked_comparison_vector<R: Rng>(
-    alice_pk: &PublicKey,
-    raw_bits: &[BigUint],
-    y: u64,
-    ell: usize,
-    mut rng: R,
-) -> Result<Vec<BigUint>, SmcError> {
-    let cells = comparison_cells(alice_pk, raw_bits, y, ell)?;
-    let mut out = Vec::with_capacity(ell);
-    for c in &cells {
-        // Mask with a fresh nonzero scalar and re-randomize. The scalar is
-        // sized so c·r (c ≤ 3ℓ+2) can never wrap mod n — a wrap could fake
-        // a zero. Keys of ≥ 32 bits leave plenty of room.
-        let r_bits = alice_pk.bits().saturating_sub(16).clamp(8, 64);
-        let r = loop {
-            let candidate = random::gen_biguint_bits(&mut rng, r_bits);
-            if !candidate.is_zero() {
-                break candidate;
-            }
-        };
-        out.push(alice_pk.rerandomize(&alice_pk.mul_plain(c, &r), &mut rng));
-    }
-
-    // Permute so Alice cannot see which position witnessed the comparison.
-    out.shuffle(&mut rng);
-    Ok(out.iter().map(|c| c.as_biguint().clone()).collect())
-}
-
-/// Step 2 worker, packed form: the same masked cells, but permuted over
-/// **slot positions** and packed `capacity` per word —
-/// `⌈ℓ/capacity⌉` ciphertexts instead of `ℓ`. Cell `i` is masked by a
-/// fresh nonzero `r_i` drawn from `ctx.rng_for(i)` (independently keyed
-/// per cell, so the masks never depend on the permutation or on each
-/// other), then cells and masks travel *together* through the permutation:
-/// reply slot `s` holds `c_{σ(s)}·r_{σ(s)}`. The permutation `σ` draws
-/// from the `"perm"` substream and each word is re-randomized by its
-/// single packed-nonce encryption. Alice still learns exactly "a zero
-/// slot exists" and nothing about its position.
+/// Step 2 worker: Bob's masked cells, permuted over **slot positions** and
+/// packed `capacity` per word — `⌈ℓ/capacity⌉` ciphertexts per comparison.
+/// Cell `i` is masked by a fresh nonzero `r_i` drawn from `ctx.rng_for(i)`
+/// (independently keyed per cell, so the masks never depend on the
+/// permutation or on each other), then cells and masks travel *together*
+/// through the permutation: reply slot `s` holds `c_{σ(s)}·r_{σ(s)}`. The
+/// permutation `σ` draws from the `"perm"` substream and each word is
+/// re-randomized by its single packed-nonce encryption. Alice learns
+/// exactly "a zero slot exists" and nothing about its position.
 fn masked_packed_vector(
     alice_pk: &PublicKey,
     raw_bits: &[BigUint],
@@ -231,9 +182,9 @@ fn masked_packed_vector(
     Ok(words.iter().map(|c| c.as_biguint().clone()).collect())
 }
 
-/// Step 3 worker, packed form: one CRT decryption per word, then a bit
-/// split — `⌈ℓ/capacity⌉` decryptions instead of `ℓ`. Words are decrypted
-/// on the [`crate::parallel`] pool via the shared
+/// Step 3 worker: one CRT decryption per word, then a slot split —
+/// `⌈ℓ/capacity⌉` decryptions per comparison. Words are decrypted on the
+/// [`crate::parallel`] pool via the shared
 /// [`crate::multiplication::unpack_words`].
 fn scan_packed(
     keypair: &Keypair,
@@ -249,13 +200,15 @@ fn scan_packed(
 /// Alice's side: inputs `xs` (each `< 2^63`; they are domain-encoded
 /// comparison operands, far smaller), learns `xs[i] < ys[i]` for Bob's
 /// equally long `ys`. `k` comparisons take **three wire rounds total** (one
-/// frame of `k·ℓ` encrypted bits out, one frame of masked vectors back, one
-/// frame of conclusions out); a single comparison is the one-item batch.
+/// frame of `k·ℓ` encrypted bits out, one frame of `k·⌈ℓ/capacity⌉` packed
+/// reply words back, one frame of conclusions out); a single comparison is
+/// the one-item batch. The reply layout is [`dgk_pack_layout`] of Alice's
+/// key; a key too small for one slot is a protocol error.
 ///
-/// Comparison `i` draws from `ctx.rng_for(i)`, so outcomes, ciphertexts,
-/// and the leakage profile do not depend on evaluation order, and the
-/// `k·ℓ` ciphertext encryptions/decryptions run on the
-/// [`crate::parallel`] pool.
+/// Comparison `i` draws its bit encryptions from `ctx.rng_for(i)` and
+/// Bob scopes its reply under `ctx.at(i)`, so outcomes, ciphertexts, and
+/// the leakage profile do not depend on evaluation order, and the
+/// ciphertext work runs on the [`crate::parallel`] pool.
 pub fn dgk_batch_alice<C: Channel>(
     chan: &mut C,
     keypair: &Keypair,
@@ -266,85 +219,7 @@ pub fn dgk_batch_alice<C: Channel>(
     if xs.is_empty() {
         return Ok(Vec::new());
     }
-    let ell = bit_width(domain_bound);
-    let bit_groups: Vec<Vec<BigUint>> = par_map(xs, |i, &x| {
-        encrypt_bits(keypair, x, ell, ctx.rng_for(i as u64))
-    })?;
-    chan.send_batch(&bit_groups)?;
-
-    let masked_groups: Vec<Vec<BigUint>> = chan.recv_batch()?;
-    if masked_groups.len() != xs.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} masked comparison vectors, got {}",
-            xs.len(),
-            masked_groups.len()
-        )));
-    }
-    let results: Vec<bool> = par_map(&masked_groups, |_, masked| {
-        scan_masked(keypair, masked, ell)
-    })?;
-    chan.send_batch(&results)?;
-    Ok(results)
-}
-
-/// Bob's side of [`dgk_batch_alice`]: comparison `i` draws its mask
-/// scalars and permutation from `ctx.rng_for(i)`, so each masked vector is
-/// independent of every other item's value-dependent rejection sampling —
-/// which lets the vectors be computed in parallel.
-pub fn dgk_batch_bob<C: Channel>(
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    ys: &[u64],
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
-    if ys.is_empty() {
-        return Ok(Vec::new());
-    }
-    let ell = bit_width(domain_bound);
-    let bit_groups: Vec<Vec<BigUint>> = chan.recv_batch()?;
-    if bit_groups.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} encrypted bit groups, got {}",
-            ys.len(),
-            bit_groups.len()
-        )));
-    }
-    let out_groups: Vec<Vec<BigUint>> = par_map(&bit_groups, |i, raw_bits| {
-        masked_comparison_vector(alice_pk, raw_bits, ys[i], ell, ctx.rng_for(i as u64))
-    })?;
-    chan.send_batch(&out_groups)?;
-
-    let results: Vec<bool> = chan.recv_batch()?;
-    if results.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} conclusions, got {}",
-            ys.len(),
-            results.len()
-        )));
-    }
-    Ok(results)
-}
-
-/// Packed-reply Alice side: the wire shape of [`dgk_batch_alice`] with
-/// every reply group packed — `k·⌈ℓ/capacity⌉` reply ciphertexts (and
-/// decryptions) for `k` comparisons instead of `k·ℓ`. Comparison `i`
-/// scopes its packed reply under `ctx.at(i)`. Falls back to the unpacked
-/// reply (symmetrically — the layout is a function of public data) when
-/// the key cannot fit even one slot.
-pub fn dgk_batch_packed_alice<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    xs: &[u64],
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
-    let Some(layout) = dgk_pack_layout(keypair.public.bits(), domain_bound) else {
-        return dgk_batch_alice(chan, keypair, xs, domain_bound, ctx);
-    };
-    if xs.is_empty() {
-        return Ok(Vec::new());
-    }
+    let layout = dgk_pack_layout(keypair.public.bits(), domain_bound)?;
     let ell = bit_width(domain_bound);
     let bit_groups: Vec<Vec<BigUint>> = par_map(xs, |i, &x| {
         encrypt_bits(keypair, x, ell, ctx.rng_for(i as u64))
@@ -366,20 +241,21 @@ pub fn dgk_batch_packed_alice<C: Channel>(
     Ok(results)
 }
 
-/// Packed-reply Bob side of [`dgk_batch_packed_alice`].
-pub fn dgk_batch_packed_bob<C: Channel>(
+/// Bob's side of [`dgk_batch_alice`]: comparison `i` draws its mask
+/// scalars, permutation and word nonces under `ctx.at(i)`, so each reply is
+/// independent of every other item and the replies are computed in
+/// parallel.
+pub fn dgk_batch_bob<C: Channel>(
     chan: &mut C,
     alice_pk: &PublicKey,
     ys: &[u64],
     domain_bound: u64,
     ctx: &ProtocolContext,
 ) -> Result<Vec<bool>, SmcError> {
-    let Some(layout) = dgk_pack_layout(alice_pk.bits(), domain_bound) else {
-        return dgk_batch_bob(chan, alice_pk, ys, domain_bound, ctx);
-    };
     if ys.is_empty() {
         return Ok(Vec::new());
     }
+    let layout = dgk_pack_layout(alice_pk.bits(), domain_bound)?;
     let ell = bit_width(domain_bound);
     let bit_groups: Vec<Vec<BigUint>> = chan.recv_batch()?;
     if bit_groups.len() != ys.len() {
@@ -418,45 +294,32 @@ mod tests {
         xs: Vec<u64>,
         ys: Vec<u64>,
         bound: u64,
-        packed: bool,
         seeds: (u64, u64),
     ) -> (Vec<bool>, ppds_transport::MetricsSnapshot) {
         let (mut achan, mut bchan) = duplex();
         let alice = std::thread::spawn(move || {
-            let kp = alice_keypair();
-            let out = if packed {
-                dgk_batch_packed_alice(&mut achan, kp, &xs, bound, &ctx(seeds.0))
-            } else {
-                dgk_batch_alice(&mut achan, kp, &xs, bound, &ctx(seeds.0))
-            }
-            .unwrap();
+            let out =
+                dgk_batch_alice(&mut achan, alice_keypair(), &xs, bound, &ctx(seeds.0)).unwrap();
             (out, achan.metrics())
         });
         let pk = &alice_keypair().public;
-        let bob_view = if packed {
-            dgk_batch_packed_bob(&mut bchan, pk, &ys, bound, &ctx(seeds.1))
-        } else {
-            dgk_batch_bob(&mut bchan, pk, &ys, bound, &ctx(seeds.1))
-        }
-        .unwrap();
+        let bob_view = dgk_batch_bob(&mut bchan, pk, &ys, bound, &ctx(seeds.1)).unwrap();
         let (alice_view, metrics) = alice.join().unwrap();
         assert_eq!(alice_view, bob_view, "views must agree");
         (alice_view, metrics)
     }
 
     /// One comparison: the one-item batch.
-    fn run(x: u64, y: u64, bound: u64, packed: bool, seed: u64) -> bool {
-        run_batch(vec![x], vec![y], bound, packed, (seed, seed + 1)).0[0]
+    fn run(x: u64, y: u64, bound: u64, seed: u64) -> bool {
+        run_batch(vec![x], vec![y], bound, (seed, seed + 1)).0[0]
     }
 
     #[test]
     fn exhaustive_small_domain() {
-        for packed in [false, true] {
-            for x in 0..8u64 {
-                for y in 0..8u64 {
-                    let seed = 100 + x * 8 + y;
-                    assert_eq!(run(x, y, 7, packed, seed), x < y, "{x} < {y}");
-                }
+        for x in 0..8u64 {
+            for y in 0..8u64 {
+                let seed = 100 + x * 8 + y;
+                assert_eq!(run(x, y, 7, seed), x < y, "{x} < {y}");
             }
         }
     }
@@ -464,27 +327,25 @@ mod tests {
     #[test]
     fn wide_values() {
         let bound = (1 << 40) - 1;
-        for packed in [false, true] {
-            for (x, y) in [
-                (0u64, 1u64),
-                (1, 0),
-                (123_456_789, 123_456_790),
-                (123_456_790, 123_456_789),
-                ((1 << 40) - 1, (1 << 40) - 1),
-                (0, (1 << 40) - 1),
-                ((1 << 40) - 1, 0),
-                (1 << 39, (1 << 39) + 1),
-            ] {
-                let seed = 7_000 + x % 97 + y % 89;
-                assert_eq!(run(x, y, bound, packed, seed), x < y, "{x} < {y}");
-            }
+        for (x, y) in [
+            (0u64, 1u64),
+            (1, 0),
+            (123_456_789, 123_456_790),
+            (123_456_790, 123_456_789),
+            ((1 << 40) - 1, (1 << 40) - 1),
+            (0, (1 << 40) - 1),
+            ((1 << 40) - 1, 0),
+            (1 << 39, (1 << 39) + 1),
+        ] {
+            let seed = 7_000 + x % 97 + y % 89;
+            assert_eq!(run(x, y, bound, seed), x < y, "{x} < {y}");
         }
     }
 
     #[test]
     fn equal_values_are_not_less() {
         for v in [0u64, 1, 5, 100] {
-            assert!(!run(v, v, 127, false, 9_000 + v));
+            assert!(!run(v, v, 127, 9_000 + v));
         }
     }
 
@@ -509,17 +370,15 @@ mod tests {
         let bound = 1023u64;
         let xs: Vec<u64> = vec![0, 1, 400, 700, 1023, 512, 88];
         let ys: Vec<u64> = vec![1, 0, 700, 700, 0, 513, 88];
-        for packed in [false, true] {
-            let (alice_view, metrics) = run_batch(xs.clone(), ys.clone(), bound, packed, (40, 41));
-            for i in 0..xs.len() {
-                assert_eq!(alice_view[i], xs[i] < ys[i], "{} < {}", xs[i], ys[i]);
-            }
-            // 3 wire rounds total for 7 comparisons (2 sent by Alice, 1
-            // received), 3 logical messages per comparison.
-            assert_eq!(metrics.rounds_sent, 2);
-            assert_eq!(metrics.rounds_received, 1);
-            assert_eq!(metrics.total_messages(), 3 * xs.len() as u64);
+        let (alice_view, metrics) = run_batch(xs.clone(), ys.clone(), bound, (40, 41));
+        for i in 0..xs.len() {
+            assert_eq!(alice_view[i], xs[i] < ys[i], "{} < {}", xs[i], ys[i]);
         }
+        // 3 wire rounds total for 7 comparisons (2 sent by Alice, 1
+        // received), 3 logical messages per comparison.
+        assert_eq!(metrics.rounds_sent, 2);
+        assert_eq!(metrics.rounds_received, 1);
+        assert_eq!(metrics.total_messages(), 3 * xs.len() as u64);
     }
 
     #[test]
@@ -527,20 +386,18 @@ mod tests {
         let bound = 1023u64;
         let xs: Vec<u64> = (0..12).map(|i| i * 85).collect();
         let ys: Vec<u64> = (0..12).map(|i| 1020 - i * 85).collect();
-        for packed in [false, true] {
-            let run_with = |workers| {
-                let _guard = force_workers(workers);
-                let (out, metrics) = run_batch(xs.clone(), ys.clone(), bound, packed, (60, 61));
-                (out, metrics.total_bytes())
-            };
-            let (a1, bytes1) = run_with(1);
-            let (a4, bytes4) = run_with(4);
-            assert_eq!(a1, a4);
-            assert_eq!(
-                bytes1, bytes4,
-                "every wire byte identical under parallelism"
-            );
-        }
+        let run_with = |workers| {
+            let _guard = force_workers(workers);
+            let (out, metrics) = run_batch(xs.clone(), ys.clone(), bound, (60, 61));
+            (out, metrics.total_bytes())
+        };
+        let (a1, bytes1) = run_with(1);
+        let (a4, bytes4) = run_with(4);
+        assert_eq!(a1, a4);
+        assert_eq!(
+            bytes1, bytes4,
+            "every wire byte identical under parallelism"
+        );
     }
 
     #[test]
@@ -553,40 +410,45 @@ mod tests {
     }
 
     #[test]
-    fn packed_reply_ships_fewer_ciphertexts_and_decryptions() {
-        // The reply leg collapses from ℓ ciphertexts to ⌈ℓ/capacity⌉ words
-        // (with ℓ = 10 and 256-bit keys, one word), so Alice's received
-        // bytes shrink accordingly.
-        let bound = 1023u64; // ℓ = 10
-        let layout = dgk_pack_layout(alice_keypair().public.bits(), bound).unwrap();
-        assert!(layout.capacity() >= 10, "layout {layout:?}");
-        let reply_bytes = |packed| {
-            let (out, metrics) = run_batch(vec![400], vec![700], bound, packed, (2, 3));
-            assert_eq!(out, vec![true]);
-            metrics.bytes_received
-        };
-        let unpacked = reply_bytes(false);
-        let packed = reply_bytes(true);
-        assert!(
-            unpacked as f64 >= 5.0 * packed as f64,
-            "reply bytes {unpacked} unpacked vs {packed} packed"
-        );
+    fn reply_ships_ceil_ell_over_capacity_words_per_comparison() {
+        // ℓ = 10. The derived layout fits every cell in one word; wider
+        // slots force capacity 3 (⌈10/3⌉ = 4 words) and the degenerate
+        // capacity 1 (one word per cell). The verdict is the same each time.
+        let kp = alice_keypair();
+        let bound = 1023u64;
+        let ell = bit_width(bound);
+        let key_bits = kp.public.bits();
+        let derived = dgk_pack_layout(key_bits, bound).unwrap();
+        let three = SlotLayout::new(key_bits, (key_bits - 1) / 3).unwrap();
+        let one = SlotLayout::new(key_bits, key_bits - 1).unwrap();
+        for (layout, words) in [(derived, 1), (three, 4), (one, ell)] {
+            for (x, y) in [(400u64, 700u64), (700, 400), (3, 3)] {
+                let bits = encrypt_bits(kp, x, ell, rng(x)).unwrap();
+                let reply =
+                    masked_packed_vector(&kp.public, &bits, y, ell, &layout, &ctx(y)).unwrap();
+                assert_eq!(reply.len(), words, "layout {layout:?}");
+                assert_eq!(reply.len(), layout.words_for(ell));
+                assert_eq!(scan_packed(kp, &reply, ell, &layout).unwrap(), x < y);
+            }
+        }
     }
 
     #[test]
-    fn tiny_keys_fall_back_to_unpacked_symmetrically() {
+    fn small_keys_have_a_layout_and_tiny_keys_are_a_typed_error() {
         // ℓ = 40 needs 24-bit slots: a 16-bit key has no layout, so both
-        // sides degrade to the unpacked protocol and still agree.
-        assert!(dgk_pack_layout(16, (1 << 40) - 1).is_none());
-        assert!(dgk_pack_layout(256, (1 << 40) - 1).is_some());
+        // sides refuse before touching the wire.
+        assert!(dgk_pack_layout(256, (1 << 40) - 1).is_ok());
+        let err = dgk_pack_layout(16, (1 << 40) - 1).unwrap_err();
+        assert!(matches!(err, SmcError::Protocol(_)), "{err}");
     }
 
     #[test]
     fn communication_is_logarithmic_in_domain() {
-        // ℓ = 10 bits for n0 = 1023 → 20 ciphertexts total, versus the
-        // faithful Yao protocol's 1023 residues (~16 KiB at 256-bit keys).
+        // ℓ = 10 bits for n0 = 1023 → ℓ encrypted bits plus one reply word,
+        // versus the faithful Yao protocol's 1023 residues (~16 KiB at
+        // 256-bit keys).
         let bound = 1023u64;
-        let (_, metrics) = run_batch(vec![400], vec![700], bound, false, (2, 3));
+        let (_, metrics) = run_batch(vec![400], vec![700], bound, (2, 3));
         let dgk_bytes = metrics.total_bytes();
         let (m1, m2, m3) = crate::millionaires::modeled_message_sizes(256, bound + 1);
         let yao_bytes = m1 + m2 + m3;

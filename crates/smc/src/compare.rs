@@ -121,16 +121,13 @@ impl ComparisonDomain {
 ///
 /// Comparison `i` draws from `ctx.rng_for(i)` (`ctx.at(i)` for Yao).
 ///
-/// `packed` selects the plaintext-slot-packed transport
-/// (`ProtocolConfig::packing`): the DGK backend ships each masked verdict
-/// vector as `⌈ℓ/capacity⌉` packed words, and the Ideal backend pads its
-/// verdict-sized message to the packed transcript size (see
-/// [`IDEAL_PADDING_CAP`]). Outcomes are identical either way; the faithful
-/// Yao backend has no packed form (its message 2 is plaintext residues)
-/// and ignores the flag.
+/// Replies are slot-packed: the DGK backend ships each masked verdict
+/// vector as `⌈ℓ/capacity⌉` words of [`crate::bitwise::dgk_pack_layout`],
+/// and the Ideal backend pads its verdict-sized message to that packed
+/// transcript size (see [`IDEAL_PADDING_CAP`]). The faithful Yao backend
+/// has no packed form (its message 2 is plaintext residues).
 ///
 /// [`Batch`]: ppds_transport::Batch
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn compare_batch_alice<C: Channel>(
     comparator: Comparator,
     chan: &mut C,
@@ -138,7 +135,6 @@ pub fn compare_batch_alice<C: Channel>(
     values: &[i64],
     op: CmpOp,
     domain: &ComparisonDomain,
-    packed: bool,
     ctx: &ProtocolContext,
 ) -> Result<Vec<bool>, SmcError> {
     if values.is_empty() {
@@ -157,12 +153,7 @@ pub fn compare_batch_alice<C: Channel>(
                 millionaires::yao_alice(chan, keypair, i, &domain.yao_config(), &ctx.at(idx as u64))
             })
             .collect(),
-        Comparator::Ideal => {
-            ideal_batch_alice(chan, keypair.public.bits(), &is, op, domain, packed)
-        }
-        Comparator::Dgk if packed => {
-            crate::bitwise::dgk_batch_packed_alice(chan, keypair, &is, domain.n0(), ctx)
-        }
+        Comparator::Ideal => ideal_batch_alice(chan, keypair.public.bits(), &is, op, domain),
         Comparator::Dgk => crate::bitwise::dgk_batch_alice(chan, keypair, &is, domain.n0(), ctx),
     }?;
     span.end(|| chan.metrics());
@@ -170,7 +161,6 @@ pub fn compare_batch_alice<C: Channel>(
 }
 
 /// Bob's side of [`compare_batch_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn compare_batch_bob<C: Channel>(
     comparator: Comparator,
     chan: &mut C,
@@ -178,7 +168,6 @@ pub fn compare_batch_bob<C: Channel>(
     values: &[i64],
     op: CmpOp,
     domain: &ComparisonDomain,
-    packed: bool,
     ctx: &ProtocolContext,
 ) -> Result<Vec<bool>, SmcError> {
     if values.is_empty() {
@@ -202,10 +191,7 @@ pub fn compare_batch_bob<C: Channel>(
                 millionaires::yao_bob(chan, alice_pk, j, &domain.yao_config(), &ctx.at(idx as u64))
             })
             .collect(),
-        Comparator::Ideal => ideal_batch_bob(chan, alice_pk.bits(), &j_effs, domain, packed),
-        Comparator::Dgk if packed => {
-            crate::bitwise::dgk_batch_packed_bob(chan, alice_pk, &j_effs, domain.n0(), ctx)
-        }
+        Comparator::Ideal => ideal_batch_bob(chan, alice_pk.bits(), &j_effs, domain),
         Comparator::Dgk => crate::bitwise::dgk_batch_bob(chan, alice_pk, &j_effs, domain.n0(), ctx),
     }?;
     span.end(|| chan.metrics());
@@ -230,51 +216,29 @@ fn share_diffs(pairs: &[(i64, i64)], domain: &ComparisonDomain) -> Result<Vec<i6
 /// Both learn whether `dist_a < dist_b`, via `u_a - u_b < v_a - v_b`, for
 /// every pair in one [`compare_batch_alice`] exchange. Used by the enhanced
 /// protocol's k-th-smallest selection.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn share_less_than_batch_alice<C: Channel>(
     comparator: Comparator,
     chan: &mut C,
     keypair: &Keypair,
     pairs: &[(i64, i64)],
     domain: &ComparisonDomain,
-    packed: bool,
     ctx: &ProtocolContext,
 ) -> Result<Vec<bool>, SmcError> {
     let diffs = share_diffs(pairs, domain)?;
-    compare_batch_alice(
-        comparator,
-        chan,
-        keypair,
-        &diffs,
-        CmpOp::Lt,
-        domain,
-        packed,
-        ctx,
-    )
+    compare_batch_alice(comparator, chan, keypair, &diffs, CmpOp::Lt, domain, ctx)
 }
 
 /// Bob's half of [`share_less_than_batch_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn share_less_than_batch_bob<C: Channel>(
     comparator: Comparator,
     chan: &mut C,
     alice_pk: &PublicKey,
     pairs: &[(i64, i64)],
     domain: &ComparisonDomain,
-    packed: bool,
     ctx: &ProtocolContext,
 ) -> Result<Vec<bool>, SmcError> {
     let diffs = share_diffs(pairs, domain)?;
-    compare_batch_bob(
-        comparator,
-        chan,
-        alice_pk,
-        &diffs,
-        CmpOp::Lt,
-        domain,
-        packed,
-        ctx,
-    )
+    compare_batch_bob(comparator, chan, alice_pk, &diffs, CmpOp::Lt, domain, ctx)
 }
 
 // ---------------------------------------------------------------------------
@@ -297,25 +261,21 @@ fn padding(modeled: u64, used: u64) -> Vec<u8> {
     vec![0u8; modeled.saturating_sub(used).min(IDEAL_PADDING_CAP) as usize]
 }
 
-/// Packing factor the Ideal backend charges its verdict-sized message
-/// under `packing`: the capacity of the packed-DGK verdict layout at this
-/// key size and domain (1 — no reduction — when the key fits no layout, or
-/// when packing is off). Derived from public data only, so both sides pad
-/// identically.
-fn ideal_packing_factor(key_bits: usize, domain: &ComparisonDomain, packed: bool) -> u64 {
-    if !packed {
-        return 1;
-    }
+/// Packing factor the Ideal backend charges its verdict-sized message:
+/// the capacity of the DGK reply layout at this key size and domain (1 —
+/// the degenerate one-slot word — when the key fits no layout). Derived
+/// from public data only, so both sides pad identically.
+fn ideal_packing_factor(key_bits: usize, domain: &ComparisonDomain) -> u64 {
     crate::bitwise::dgk_pack_layout(key_bits, domain.n0())
         .map_or(1, |layout| layout.capacity() as u64)
 }
 
-/// Padding for the verdict-sized message (YMPP message 2): under packing,
-/// each shipped byte stands for `factor` slot bytes of the faithful
-/// backend's packed verdict words, so the *physical* padding shrinks by
-/// the layout capacity while the [`crate::millionaires`] model — and with
-/// it the caller's `YaoLedger` — keeps charging the canonical unpacked
-/// cost, invariant across packings.
+/// Padding for the verdict-sized message (YMPP message 2): each shipped
+/// byte stands for `factor` slot bytes of the DGK backend's packed verdict
+/// words, so the *physical* padding shrinks by the layout capacity while
+/// the [`crate::millionaires`] model — and with it the caller's
+/// `YaoLedger` — keeps charging the canonical one-value-per-ciphertext
+/// cost.
 fn verdict_padding(modeled: u64, used: u64, factor: u64) -> Vec<u8> {
     vec![0u8; (modeled.saturating_sub(used).min(IDEAL_PADDING_CAP) / factor.max(1)) as usize]
 }
@@ -332,10 +292,9 @@ fn ideal_batch_alice<C: Channel>(
     is: &[u64],
     _op: CmpOp,
     domain: &ComparisonDomain,
-    packed: bool,
 ) -> Result<Vec<bool>, SmcError> {
-    let (m1, m2, m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
-    let factor = ideal_packing_factor(key_bits, domain, packed);
+    let (_m1, m2, _m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
+    let factor = ideal_packing_factor(key_bits, domain);
     // Round 1 (Bob→Alice): Bob's effective inputs.
     let incoming: Vec<(u64, Vec<u8>)> = chan.recv_batch()?;
     if incoming.len() != is.len() {
@@ -350,8 +309,8 @@ fn ideal_batch_alice<C: Channel>(
         .zip(&incoming)
         .map(|(&i, &(j_eff, _))| i < j_eff)
         .collect();
-    // Round 2 (Alice→Bob): the results, each padded to the z-sequence size
-    // (packed: to its packed-word share).
+    // Round 2 (Alice→Bob): the results, each padded to its packed-word
+    // share of the z-sequence size.
     let reply: Vec<(bool, Vec<u8>)> = results
         .iter()
         .map(|&r| (r, verdict_padding(m2, 5, factor)))
@@ -362,7 +321,6 @@ fn ideal_batch_alice<C: Channel>(
     if echoed.len() != results.len() || echoed.iter().zip(&results).any(|(e, &r)| e.0 != r) {
         return Err(SmcError::protocol("ideal batch comparator echo mismatch"));
     }
-    let _ = (m1, m3);
     Ok(results)
 }
 
@@ -371,10 +329,9 @@ fn ideal_batch_bob<C: Channel>(
     key_bits: usize,
     j_effs: &[u64],
     domain: &ComparisonDomain,
-    packed: bool,
 ) -> Result<Vec<bool>, SmcError> {
+    // Bob's messages model single values; nothing to pack.
     let (m1, _m2, m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
-    let _ = packed; // Bob's messages model single values; nothing to pack.
     let out: Vec<(u64, Vec<u8>)> = j_effs.iter().map(|&j| (j, padding(m1, 12))).collect();
     chan.send_batch(&out)?;
     let replies: Vec<(bool, Vec<u8>)> = chan.recv_batch()?;
@@ -443,7 +400,6 @@ mod tests {
                 &[6],
                 CmpOp::Lt,
                 &domain,
-                false,
                 &ctx(1)
             ),
             Err(SmcError::DomainViolation { value: 6, .. })
@@ -471,7 +427,6 @@ mod tests {
                 alice_keypair(),
                 &[(50, 20)],
                 &domain,
-                false,
                 &ctx(2),
             )
             .unwrap()
@@ -482,7 +437,6 @@ mod tests {
             &alice_keypair().public,
             &[(43, 8)],
             &domain,
-            false,
             &ctx(3),
         )
         .unwrap();
@@ -492,8 +446,9 @@ mod tests {
 
     #[test]
     fn ideal_traffic_matches_yao_traffic() {
-        // The Ideal comparator must charge the transcript the same bytes the
-        // faithful protocol produces (within BigUint minimal-length and
+        // The Ideal comparator must charge the transcript the bytes the
+        // faithful protocol produces, with the verdict-sized message 2
+        // shrunk by the packing factor (within BigUint minimal-length and
         // batch-count noise).
         let domain = ComparisonDomain::symmetric(16);
         let totals: Vec<f64> = [Comparator::Yao, Comparator::Ideal]
@@ -505,8 +460,18 @@ mod tests {
             })
             .collect();
         let (yao, ideal) = (totals[0], totals[1]);
-        let rel_err = (yao - ideal).abs() / yao;
-        assert!(rel_err < 0.05, "yao = {yao}, ideal = {ideal}");
+        let key_bits = alice_keypair().public.bits();
+        let (_, m2, _) = millionaires::modeled_message_sizes(key_bits, domain.n0());
+        let factor = ideal_packing_factor(key_bits, &domain);
+        assert!(factor > 1, "a 256-bit key packs verdict slots");
+        let expect = yao - m2 as f64 + (m2 / factor) as f64;
+        // The same absolute noise budget as the unshrunk transcript: 5% of
+        // the faithful total.
+        let err = (expect - ideal).abs();
+        assert!(
+            err < 0.05 * yao,
+            "yao = {yao}, ideal = {ideal}, expect = {expect}"
+        );
     }
 
     fn run_batch(
@@ -526,7 +491,6 @@ mod tests {
                 &a_vals,
                 op,
                 &domain,
-                false,
                 &ctx(600),
             )
             .unwrap();
@@ -539,7 +503,6 @@ mod tests {
             &b_vals,
             op,
             &domain,
-            false,
             &ctx(601),
         )
         .unwrap();
@@ -592,7 +555,6 @@ mod tests {
             &[],
             CmpOp::Lt,
             &domain,
-            false,
             &ctx(1),
         )
         .unwrap();
@@ -614,7 +576,6 @@ mod tests {
                 alice_keypair(),
                 &us,
                 &domain,
-                false,
                 &ctx(2),
             )
             .unwrap()
@@ -625,7 +586,6 @@ mod tests {
             &alice_keypair().public,
             &vs,
             &domain,
-            false,
             &ctx(3),
         )
         .unwrap();

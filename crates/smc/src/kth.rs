@@ -210,20 +210,26 @@ mod tests {
     use super::*;
     use crate::backend::{PaillierBackend, SharingBackend};
     use crate::compare::Comparator;
+    use crate::multiplication::ResponsePacking;
     use crate::sharing::DealerTape;
     use crate::test_helpers::{alice_keypair, ctx, rng};
     use ppds_bigint::BigUint;
+    use ppds_paillier::SlotLayout;
     use ppds_transport::{duplex, MetricsSnapshot};
     use rand::Rng;
 
     fn paillier(comparator: Comparator) -> PaillierBackend<'static> {
+        // Selection only compares; the response packings go unused.
+        let packing = ResponsePacking {
+            layout: SlotLayout::new(alice_keypair().public.bits(), 64).unwrap(),
+            offset: BigUint::from_u64(1 << 40),
+        };
         PaillierBackend {
             my_keypair: alice_keypair(),
             peer_pk: &alice_keypair().public,
             comparator,
-            packed: false,
-            mul_packing: None,
-            dot_packing: None,
+            mul_packing: packing.clone(),
+            dot_packing: packing,
             mul_mask_bound: BigUint::from_u64(1 << 20),
             dot_mask_bound: BigUint::from_u64(1 << 20),
         }

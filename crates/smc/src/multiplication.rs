@@ -19,6 +19,10 @@
 //! which every caller in this workspace guarantees by construction (lattice
 //! coordinates and masks are tiny relative to ≥ 2^255).
 //!
+//! Responses are slot-packed ([`ResponsePacking`]): the peer folds its
+//! masked values into `⌈count/capacity⌉` Paillier words, each word
+//! re-randomized by one packed-nonce encryption.
+//!
 //! Randomness: every entry point takes a [`ProtocolContext`] instead of a
 //! threaded generator. The `mul_batches_*` forms key each group through a
 //! caller-supplied scope (`scopes(g)`) and `dot_many_peer` keys row `j` as
@@ -34,13 +38,14 @@ use ppds_paillier::{Ciphertext, Keypair, PublicKey, SlotLayout};
 use ppds_transport::Channel;
 use rand::Rng;
 
-/// How a response leg packs its masked values into shared Paillier words
-/// (`ProtocolConfig::packing`): the peer's replies — masked products
-/// `x·y + v`, masked distances `dist² + v` — are signed, so every slot
-/// value is shifted by the public `offset` into `[0, 2^{slot_bits})`
-/// before packing and shifted back after unpacking. The protocol layer
-/// derives both fields from public bounds (coordinate bound, mask bound,
-/// key size), so the two parties always agree without negotiation.
+/// How a response leg packs its masked values into shared Paillier words:
+/// the peer's replies — masked products `x·y + v`, masked distances
+/// `dist² + v` — are signed, so every slot value is shifted by the public
+/// `offset` into `[0, 2^{slot_bits})` before packing and shifted back
+/// after unpacking. The protocol layer derives both fields from public
+/// bounds (coordinate bound, mask bound, key size), so the two parties
+/// always agree without negotiation. Every reply is packed; a layout of
+/// capacity 1 is the degenerate one-value word.
 ///
 /// Carry-guard argument: with `offset ≥ |value|_max + |mask|_max` and
 /// `slot_bits > bits(2·offset)`, every shifted slot value is strictly
@@ -81,6 +86,28 @@ impl ResponsePacking {
     ) -> Result<Vec<BigInt>, SmcError> {
         let slots = unpack_words(keypair, &self.layout, words, count)?;
         Ok(slots.iter().map(|slot| self.recover(slot)).collect())
+    }
+
+    /// Peer side of a reply: packs one product ciphertext per value, with
+    /// its mask as the plaintext slot addend, into `⌈count/capacity⌉`
+    /// words re-randomized by one nonce each from `scope`'s `"pack"`
+    /// substream, and sends them as one message.
+    fn send_words<'a, C: Channel>(
+        &self,
+        chan: &mut C,
+        keyholder_pk: &PublicKey,
+        products: &[Ciphertext],
+        masks: impl Iterator<Item = &'a BigInt>,
+        scope: &ProtocolContext,
+    ) -> Result<(), SmcError> {
+        let plains: Vec<BigUint> = masks
+            .map(|v| self.slot_plain(v))
+            .collect::<Result<_, _>>()?;
+        let mut rng = scope.narrow("pack").rng();
+        let words = keyholder_pk.pack_ciphertexts(&self.layout, products, &plains, &mut rng)?;
+        let wire: Vec<BigUint> = words.iter().map(|c| c.as_biguint().clone()).collect();
+        chan.send(&wire)?;
+        Ok(())
     }
 }
 
@@ -144,14 +171,16 @@ pub fn sample_mask<R: Rng>(mut rng: R, bound: &BigUint) -> BigInt {
 /// one-group, one-element case.
 ///
 /// `scopes(g)` is the record scope of group `g`; its leaf stream encrypts
-/// the group's inputs, so the per-group encryption/decryption work runs on
-/// the [`crate::parallel`] pool without changing a byte.
+/// the group's inputs, so the per-group encryption work runs on the
+/// [`crate::parallel`] pool without changing a byte. The reply is one flat
+/// word vector carrying every group's products as slots, in group order,
+/// so small groups share words instead of wasting one ciphertext each.
 pub fn mul_batches_keyholder<C, S>(
     chan: &mut C,
     keypair: &Keypair,
     xs_groups: &[Vec<BigInt>],
     scopes: S,
-    packing: Option<&ResponsePacking>,
+    packing: &ResponsePacking,
 ) -> Result<Vec<Vec<BigInt>>, SmcError>
 where
     C: Channel,
@@ -173,50 +202,13 @@ where
             .collect::<Result<Vec<_>, _>>()
     })?;
     chan.send_batch(&cts_groups)?;
-    if let Some(packing) = packing {
-        // Packed reply: all groups' responses ride one flat word vector
-        // (slots in group order), so small groups share words instead of
-        // wasting one ciphertext per element.
-        let words: Vec<BigUint> = chan.recv()?;
-        let total: usize = xs_groups.iter().map(Vec::len).sum();
-        let flat = packing.unpack_signed(keypair, &words, total)?;
-        let mut flat = flat.into_iter();
-        let out = xs_groups
-            .iter()
-            .map(|xs| (&mut flat).take(xs.len()).collect())
-            .collect();
-        span.end(|| chan.metrics());
-        return Ok(out);
-    }
-    let responses: Vec<Vec<BigUint>> = chan.recv_batch()?;
-    if responses.len() != xs_groups.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} masked product groups, got {}",
-            xs_groups.len(),
-            responses.len()
-        )));
-    }
-    for (g, group) in responses.iter().enumerate() {
-        if group.len() != xs_groups[g].len() {
-            return Err(SmcError::protocol(format!(
-                "expected {} masked products in group, got {}",
-                xs_groups[g].len(),
-                group.len()
-            )));
-        }
-    }
-    // Take ownership of the batch items so each ciphertext is wrapped in
-    // place instead of cloned before decryption.
-    let response_groups: Vec<Vec<Ciphertext>> = responses
-        .into_iter()
-        .map(|group| group.into_iter().map(Ciphertext::from_biguint).collect())
+    let words: Vec<BigUint> = chan.recv()?;
+    let total: usize = xs_groups.iter().map(Vec::len).sum();
+    let mut flat = packing.unpack_signed(keypair, &words, total)?.into_iter();
+    let out = xs_groups
+        .iter()
+        .map(|xs| (&mut flat).take(xs.len()).collect())
         .collect();
-    let out: Vec<Vec<BigInt>> = par_map(&response_groups, |_, group| {
-        group
-            .iter()
-            .map(|c| Ok::<_, SmcError>(keypair.private.decrypt_signed(c)?))
-            .collect()
-    })?;
     span.end(|| chan.metrics());
     Ok(out)
 }
@@ -224,9 +216,11 @@ where
 /// Peer side of [`mul_batches_keyholder`]: one coefficient group per
 /// logical batch. `draw_masks(g)` produces group `g`'s masks `v_{g,i}`
 /// from the caller's own keyed streams (HDP passes blinding terms with
-/// `Σ_i v_{g,i} = 0`), and `scopes(g)` is the record scope whose leaf
-/// stream encrypts them, so the homomorphic work fans out on the
-/// [`crate::parallel`] pool. Returns the masks drawn per group.
+/// `Σ_i v_{g,i} = 0`); the homomorphic products fan out on the
+/// [`crate::parallel`] pool. Every group's products ride as shifted slots
+/// of one flat word vector, the masks as plaintext addends, and each word
+/// is re-randomized by its single packed-nonce encryption drawn from
+/// `scopes(0)`'s `"pack"` substream. Returns the masks drawn per group.
 ///
 /// Groups are any slice-like coefficient vectors, so a caller multiplying
 /// one vector against many peer groups (HDP's neighborhood query) can pass
@@ -237,7 +231,7 @@ pub fn mul_batches_peer<C, F, G, S>(
     ys_groups: &[G],
     mut draw_masks: F,
     scopes: S,
-    packing: Option<&ResponsePacking>,
+    packing: &ResponsePacking,
 ) -> Result<Vec<Vec<BigInt>>, SmcError>
 where
     C: Channel,
@@ -277,45 +271,7 @@ where
             masks
         })
         .collect();
-    if let Some(packing) = packing {
-        // Packed reply: every group's products as shifted slots of one
-        // flat word vector; masks ride as plaintext addends and each word
-        // is re-randomized by its single packed-nonce encryption (group 0's
-        // scope hosts the word-nonce substream).
-        let product_groups: Vec<Vec<Ciphertext>> = par_map(&cts_groups, |g, cts| {
-            let ys = ys_groups[g].as_ref();
-            let cxs: Vec<Ciphertext> = cts
-                .iter()
-                .map(|ct| Ciphertext::from_biguint(ct.clone()))
-                .collect();
-            // One batch inversion validates the whole group.
-            keyholder_pk.validate_many(&cxs)?;
-            Ok::<_, SmcError>(
-                cxs.iter()
-                    .zip(ys)
-                    .map(|(cx, y)| keyholder_pk.mul_plain_signed(cx, y))
-                    .collect(),
-            )
-        })?;
-        let products: Vec<Ciphertext> = product_groups.into_iter().flatten().collect();
-        let plains: Vec<BigUint> = all_masks
-            .iter()
-            .flatten()
-            .map(|v| packing.slot_plain(v))
-            .collect::<Result<_, _>>()?;
-        let words = keyholder_pk.pack_ciphertexts(
-            &packing.layout,
-            &products,
-            &plains,
-            &mut scopes(0).narrow("pack").rng(),
-        )?;
-        let wire: Vec<BigUint> = words.iter().map(|c| c.as_biguint().clone()).collect();
-        chan.send(&wire)?;
-        span.end(|| chan.metrics());
-        return Ok(all_masks);
-    }
-    let responses: Vec<Vec<BigUint>> = par_map(&cts_groups, |g, cts| {
-        let mut rng = scopes(g).rng();
+    let product_groups: Vec<Vec<Ciphertext>> = par_map(&cts_groups, |g, cts| {
         let ys = ys_groups[g].as_ref();
         let cxs: Vec<Ciphertext> = cts
             .iter()
@@ -323,15 +279,16 @@ where
             .collect();
         // One batch inversion validates the whole group.
         keyholder_pk.validate_many(&cxs)?;
-        let mut group_out = Vec::with_capacity(cxs.len());
-        for ((cx, y), v) in cxs.iter().zip(ys).zip(&all_masks[g]) {
-            let xy = keyholder_pk.mul_plain_signed(cx, y);
-            let masked = keyholder_pk.add(&xy, &keyholder_pk.encrypt_signed(v, &mut rng)?);
-            group_out.push(masked.as_biguint().clone());
-        }
-        Ok::<_, SmcError>(group_out)
+        Ok::<_, SmcError>(
+            cxs.iter()
+                .zip(ys)
+                .map(|(cx, y)| keyholder_pk.mul_plain_signed(cx, y))
+                .collect(),
+        )
     })?;
-    chan.send_batch(&responses)?;
+    let products: Vec<Ciphertext> = product_groups.into_iter().flatten().collect();
+    let masks = all_masks.iter().flatten();
+    packing.send_words(chan, keyholder_pk, &products, masks, &scopes(0))?;
     span.end(|| chan.metrics());
     Ok(all_masks)
 }
@@ -339,13 +296,15 @@ where
 /// Keyholder side of the one-query/many-responses dot product used by the
 /// enhanced protocol (§5): Alice's coefficient vector
 /// `(ΣA², -2A_1, …, -2A_m, 1)` is encrypted **once**, and the peer answers
-/// with one masked dot product per point of his: `u_j = Dist²(A, B_j) + v_j`.
+/// with one masked dot product per point of his: `u_j = Dist²(A, B_j) + v_j`,
+/// packed into `⌈count/capacity⌉` words — the querier's decryption bill
+/// scales with neighborhoods, not with candidate points.
 pub fn dot_many_keyholder<C: Channel>(
     chan: &mut C,
     keypair: &Keypair,
     xs: &[BigInt],
     expected_responses: usize,
-    packing: Option<&ResponsePacking>,
+    packing: &ResponsePacking,
     ctx: &ProtocolContext,
 ) -> Result<Vec<BigInt>, SmcError> {
     let span = trace::span("dot_many", || chan.metrics());
@@ -360,28 +319,8 @@ pub fn dot_many_keyholder<C: Channel>(
         })
         .collect::<Result<_, _>>()?;
     chan.send(&cts)?;
-    let responses: Vec<BigUint> = chan.recv()?;
-    if let Some(packing) = packing {
-        // Packed reply: ⌈count/capacity⌉ words — the querier's decryption
-        // bill scales with neighborhoods, not with candidate points.
-        let out = packing.unpack_signed(keypair, &responses, expected_responses)?;
-        span.end(|| chan.metrics());
-        return Ok(out);
-    }
-    if responses.len() != expected_responses {
-        return Err(SmcError::protocol(format!(
-            "expected {expected_responses} dot products, got {}",
-            responses.len()
-        )));
-    }
-    let out = responses
-        .into_iter()
-        .map(|c| {
-            Ok(keypair
-                .private
-                .decrypt_signed(&Ciphertext::from_biguint(c))?)
-        })
-        .collect::<Result<Vec<_>, SmcError>>()?;
+    let words: Vec<BigUint> = chan.recv()?;
+    let out = packing.unpack_signed(keypair, &words, expected_responses)?;
     span.end(|| chan.metrics());
     Ok(out)
 }
@@ -390,13 +329,16 @@ pub fn dot_many_keyholder<C: Channel>(
 /// each dotted against the keyholder's single encrypted vector. Returns the
 /// masks `v_j` drawn (uniform in `[-mask_bound, mask_bound]`); row `j`
 /// draws from `ctx.rng_for(j)`, so rows are order-independent and the
-/// homomorphic accumulation fans out on the [`crate::parallel`] pool.
+/// homomorphic accumulation fans out on the [`crate::parallel`] pool. Row
+/// `j`'s dot product rides slot `j`, its mask travels as the word's
+/// plaintext addend, and one packed-nonce encryption (the `"pack"`
+/// substream) re-randomizes each word.
 pub fn dot_many_peer<C: Channel>(
     chan: &mut C,
     keyholder_pk: &PublicKey,
     ys_rows: &[Vec<BigInt>],
     mask_bound: &BigUint,
-    packing: Option<&ResponsePacking>,
+    packing: &ResponsePacking,
     ctx: &ProtocolContext,
 ) -> Result<Vec<BigInt>, SmcError> {
     let span = trace::span("dot_many", || chan.metrics());
@@ -410,43 +352,7 @@ pub fn dot_many_peer<C: Channel>(
     // rows — evaluation then spends zero squarings per row, and the bytes
     // match the per-row mul_plain_signed/add fold exactly.
     let bases = keyholder_pk.scaled_bases(&cts);
-    if let Some(packing) = packing {
-        // Packed reply: row j's homomorphic dot product rides slot j; its
-        // mask v_j (drawn from the same keyed stream as the unpacked form,
-        // so shares agree across transports) travels as the word's
-        // plaintext addend, and one packed-nonce encryption re-randomizes
-        // each word.
-        let per_row: Vec<(Ciphertext, BigInt)> = par_map(ys_rows, |j, ys| {
-            if cts.len() != ys.len() {
-                return Err(SmcError::protocol(format!(
-                    "dot product arity mismatch: {} ciphertexts vs {} coefficients",
-                    cts.len(),
-                    ys.len()
-                )));
-            }
-            let v = sample_mask(ctx.rng_for(j as u64), mask_bound);
-            // Neutral E(0) with nonce 1; the word's packed-nonce encryption
-            // re-randomizes the whole slot vector before it ships.
-            let acc = Ciphertext::from_biguint(BigUint::one());
-            Ok((bases.combine_signed(keyholder_pk, &acc, ys), v))
-        })?;
-        let (products, masks): (Vec<Ciphertext>, Vec<BigInt>) = per_row.into_iter().unzip();
-        let plains: Vec<BigUint> = masks
-            .iter()
-            .map(|v| packing.slot_plain(v))
-            .collect::<Result<_, _>>()?;
-        let words = keyholder_pk.pack_ciphertexts(
-            &packing.layout,
-            &products,
-            &plains,
-            &mut ctx.narrow("pack").rng(),
-        )?;
-        let wire: Vec<BigUint> = words.iter().map(|c| c.as_biguint().clone()).collect();
-        chan.send(&wire)?;
-        span.end(|| chan.metrics());
-        return Ok(masks);
-    }
-    let per_row: Vec<(BigUint, BigInt)> = par_map(ys_rows, |j, ys| {
+    let per_row: Vec<(Ciphertext, BigInt)> = par_map(ys_rows, |j, ys| {
         if cts.len() != ys.len() {
             return Err(SmcError::protocol(format!(
                 "dot product arity mismatch: {} ciphertexts vs {} coefficients",
@@ -454,14 +360,14 @@ pub fn dot_many_peer<C: Channel>(
                 ys.len()
             )));
         }
-        let mut rng = ctx.rng_for(j as u64);
-        let v = sample_mask(&mut rng, mask_bound);
-        let acc = keyholder_pk.encrypt_signed(&v, &mut rng)?;
-        let acc = bases.combine_signed(keyholder_pk, &acc, ys);
-        Ok((acc.as_biguint().clone(), v))
+        let v = sample_mask(ctx.rng_for(j as u64), mask_bound);
+        // Neutral E(0) with nonce 1; the word's packed-nonce encryption
+        // re-randomizes the whole slot vector before it ships.
+        let acc = Ciphertext::from_biguint(BigUint::one());
+        Ok((bases.combine_signed(keyholder_pk, &acc, ys), v))
     })?;
-    let (responses, masks): (Vec<BigUint>, Vec<BigInt>) = per_row.into_iter().unzip();
-    chan.send(&responses)?;
+    let (products, masks): (Vec<Ciphertext>, Vec<BigInt>) = per_row.into_iter().unzip();
+    packing.send_words(chan, keyholder_pk, &products, masks.iter(), ctx)?;
     span.end(|| chan.metrics());
     Ok(masks)
 }
@@ -501,6 +407,29 @@ mod tests {
         BigInt::from_i64(v)
     }
 
+    /// The derived-width layout for `|value| + |mask| ≤ offset` on each side.
+    fn test_packing(offset: u64) -> ResponsePacking {
+        let bits = BigUint::from_u64(2 * offset).bit_length() + 1;
+        ResponsePacking {
+            layout: SlotLayout::new(bob_keypair().public.bits(), bits).unwrap(),
+            offset: BigUint::from_u64(offset),
+        }
+    }
+
+    /// The same offset under three layouts: the derived one, capacity 2,
+    /// and the degenerate capacity 1 (one value per word).
+    fn packings(offset: u64) -> Vec<ResponsePacking> {
+        let key_bits = bob_keypair().public.bits();
+        let derived = test_packing(offset);
+        let wide = |capacity: usize| ResponsePacking {
+            layout: SlotLayout::new(key_bits, (key_bits - 1) / capacity).unwrap(),
+            offset: derived.offset.clone(),
+        };
+        let (two, one) = (wide(2), wide(1));
+        assert_eq!((two.layout.capacity(), one.layout.capacity()), (2, 1));
+        vec![derived, two, one]
+    }
+
     /// Runs the keyholder in a thread and the peer (with explicit per-group
     /// masks) on the caller thread; returns the keyholder's outputs and
     /// channel metrics.
@@ -508,21 +437,16 @@ mod tests {
         xs_groups: &[Vec<BigInt>],
         ys_groups: &[Vec<BigInt>],
         masks: &[Vec<BigInt>],
-        packing: Option<ResponsePacking>,
+        packing: ResponsePacking,
     ) -> (Vec<Vec<BigInt>>, ppds_transport::MetricsSnapshot) {
         let (mut kchan, mut pchan) = duplex();
         let xs2 = xs_groups.to_vec();
         let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
             let kctx = ctx(4);
-            let us = mul_batches_keyholder(
-                &mut kchan,
-                bob_keypair(),
-                &xs2,
-                |g| kctx.at(g as u64),
-                p2.as_ref(),
-            )
-            .unwrap();
+            let us =
+                mul_batches_keyholder(&mut kchan, bob_keypair(), &xs2, |g| kctx.at(g as u64), &p2)
+                    .unwrap();
             (us, kchan.metrics())
         });
         let pctx = ctx(5);
@@ -532,7 +456,7 @@ mod tests {
             ys_groups,
             |g| masks[g].clone(),
             |g| pctx.at(g as u64),
-            packing.as_ref(),
+            &packing,
         )
         .unwrap();
         keyholder.join().unwrap()
@@ -542,7 +466,12 @@ mod tests {
     /// peer's mask drawn uniform in `[-mask_bound, mask_bound]`.
     fn run_single(x: i64, y: i64, mask_bound: u64) -> (BigInt, BigInt) {
         let v = sample_mask(ctx(2).rng(), &BigUint::from_u64(mask_bound));
-        let (us, _) = run_with_masks(&[vec![bi(x)]], &[vec![bi(y)]], &[vec![v.clone()]], None);
+        let (us, _) = run_with_masks(
+            &[vec![bi(x)]],
+            &[vec![bi(y)]],
+            &[vec![v.clone()]],
+            test_packing(mask_bound + 100),
+        );
         (us[0][0].clone(), v)
     }
 
@@ -587,15 +516,21 @@ mod tests {
     }
 
     #[test]
-    fn one_group_products_telescope_to_the_inner_product() {
-        let xs: Vec<BigInt> = [3i64, -1, 0, 12].iter().map(|&v| bi(v)).collect();
-        let ys: Vec<BigInt> = [5i64, 5, -9, 2].iter().map(|&v| bi(v)).collect();
-        let masks = vec![bi(10), bi(-4), bi(0), bi(-6)]; // Σ = 0
-        let (us, _) = run_with_masks(
+    fn one_group_products_telescope_to_the_inner_product_in_one_word() {
+        let xs: Vec<BigInt> = [3i64, -1, 0, 12, 7, -9].iter().map(|&v| bi(v)).collect();
+        let ys: Vec<BigInt> = [5i64, 5, -9, 2, -2, 4].iter().map(|&v| bi(v)).collect();
+        let masks = vec![bi(10), bi(-4), bi(0), bi(-6), bi(3), bi(-3)]; // Σ = 0
+        let packing = test_packing(1 << 12);
+        assert!(
+            packing.layout.capacity() >= xs.len(),
+            "{:?}",
+            packing.layout
+        );
+        let (us, metrics) = run_with_masks(
             std::slice::from_ref(&xs),
             std::slice::from_ref(&ys),
             std::slice::from_ref(&masks),
-            None,
+            packing,
         );
         let us = &us[0];
         for i in 0..xs.len() {
@@ -605,7 +540,9 @@ mod tests {
         // Sum telescopes to the exact inner product (masks cancel) — the
         // algebra HDP relies on.
         let sum = us.iter().fold(BigInt::zero(), |acc, u| &acc + u);
-        assert_eq!(sum, bi(3 * 5 - 5 + 24));
+        assert_eq!(sum, bi(3 * 5 - 5 + 24 - 14 - 36));
+        // All six masked products rode one reply message.
+        assert_eq!(metrics.messages_received, 1);
     }
 
     fn run_batched_groups(
@@ -620,10 +557,12 @@ mod tests {
     ) {
         let (mut kchan, mut pchan) = duplex();
         let xs2 = xs_groups.to_vec();
+        let packing = test_packing(1 << 12);
+        let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
             let kctx = ctx(seed_k).narrow("mul");
             let us =
-                mul_batches_keyholder(&mut kchan, bob_keypair(), &xs2, |g| kctx.at(g as u64), None)
+                mul_batches_keyholder(&mut kchan, bob_keypair(), &xs2, |g| kctx.at(g as u64), &p2)
                     .unwrap();
             (us, kchan.metrics())
         });
@@ -643,7 +582,7 @@ mod tests {
                 )
             },
             |g| mul_ctx.at(g as u64),
-            None,
+            &packing,
         )
         .unwrap();
         let (us, metrics) = keyholder.join().unwrap();
@@ -697,6 +636,8 @@ mod tests {
     #[test]
     fn batched_group_arity_mismatch_is_protocol_error() {
         let (mut kchan, mut pchan) = duplex();
+        let packing = test_packing(1 << 12);
+        let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
             let kctx = ctx(22);
             // Two groups sent; peer expects three.
@@ -705,7 +646,7 @@ mod tests {
                 bob_keypair(),
                 &[vec![bi(1)], vec![bi(2)]],
                 |g| kctx.at(g as u64),
-                None,
+                &p2,
             );
         });
         let pctx = ctx(23);
@@ -720,7 +661,7 @@ mod tests {
                 )]
             },
             |g| pctx.narrow("mul").at(g as u64),
-            None,
+            &packing,
         )
         .unwrap_err();
         assert!(matches!(err, SmcError::Protocol(_)));
@@ -728,35 +669,79 @@ mod tests {
         let _ = keyholder.join();
     }
 
-    /// Runs one `dot_many` exchange; returns the keyholder's shares, the
-    /// peer's masks, and the keyholder's received bytes.
+    #[test]
+    fn mul_reply_ships_ceil_slots_over_capacity_words() {
+        // Six products over three groups, answered to a hand-driven
+        // keyholder so the reply words can be counted.
+        let kp = bob_keypair();
+        let xs_groups: Vec<Vec<BigInt>> =
+            vec![vec![bi(3), bi(-1)], vec![bi(7)], vec![bi(0), bi(2), bi(5)]];
+        let ys_groups: Vec<Vec<BigInt>> =
+            vec![vec![bi(5), bi(5)], vec![bi(-2)], vec![bi(1), bi(4), bi(-6)]];
+        let masks: Vec<Vec<BigInt>> = vec![vec![bi(9), bi(-9)], vec![bi(4)], vec![bi(-1); 3]];
+        let mut r = rng(6);
+        let cts: Vec<Vec<BigUint>> = xs_groups
+            .iter()
+            .map(|xs| {
+                xs.iter()
+                    .map(|x| {
+                        kp.public
+                            .encrypt_signed(x, &mut r)
+                            .unwrap()
+                            .as_biguint()
+                            .clone()
+                    })
+                    .collect()
+            })
+            .collect();
+        for packing in packings(1 << 12) {
+            let (mut kchan, mut pchan) = duplex();
+            kchan.send_batch(&cts).unwrap();
+            mul_batches_peer(
+                &mut pchan,
+                &kp.public,
+                &ys_groups,
+                |g| masks[g].clone(),
+                |g| ctx(7).at(g as u64),
+                &packing,
+            )
+            .unwrap();
+            let words: Vec<BigUint> = kchan.recv().unwrap();
+            assert_eq!(words.len(), 6usize.div_ceil(packing.layout.capacity()));
+            let flat = packing.unpack_signed(kp, &words, 6).unwrap();
+            let expect: Vec<BigInt> = (xs_groups.iter().flatten().zip(ys_groups.iter().flatten()))
+                .zip(masks.iter().flatten())
+                .map(|((x, y), v)| &(x * y) + v)
+                .collect();
+            assert_eq!(flat, expect, "layout {:?}", packing.layout);
+        }
+    }
+
+    /// Runs one `dot_many` exchange; returns the keyholder's shares and the
+    /// peer's masks.
     fn run_dot_many(
         xs: &[BigInt],
         ys_rows: &[Vec<BigInt>],
         mask_bound: &BigUint,
-        packing: Option<ResponsePacking>,
-    ) -> (Vec<BigInt>, Vec<BigInt>, u64) {
+    ) -> (Vec<BigInt>, Vec<BigInt>) {
         let (mut kchan, mut pchan) = duplex();
         let xs2 = xs.to_vec();
         let rows = ys_rows.len();
+        let packing = test_packing(mask_bound.to_u64().unwrap() + (1 << 12));
         let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
-            let out =
-                dot_many_keyholder(&mut kchan, bob_keypair(), &xs2, rows, p2.as_ref(), &ctx(12))
-                    .unwrap();
-            (out, kchan.metrics().bytes_received)
+            dot_many_keyholder(&mut kchan, bob_keypair(), &xs2, rows, &p2, &ctx(12)).unwrap()
         });
         let masks = dot_many_peer(
             &mut pchan,
             &bob_keypair().public,
             ys_rows,
             mask_bound,
-            packing.as_ref(),
+            &packing,
             &ctx(13),
         )
         .unwrap();
-        let (us, reply_bytes) = keyholder.join().unwrap();
-        (us, masks, reply_bytes)
+        (keyholder.join().unwrap(), masks)
     }
 
     #[test]
@@ -764,24 +749,25 @@ mod tests {
         // One row: the single dot product u = Σ x_i·y_i + v.
         let xs: Vec<BigInt> = [2i64, -3, 4].iter().map(|&v| bi(v)).collect();
         let ys: Vec<BigInt> = [10i64, 1, -2].iter().map(|&v| bi(v)).collect();
-        let (us, masks, _) = run_dot_many(&xs, &[ys], &BigUint::from_u64(1 << 20), None);
+        let (us, masks) = run_dot_many(&xs, &[ys], &BigUint::from_u64(1 << 20));
         assert_eq!(&us[0] - &masks[0], bi(20 - 3 - 8));
     }
 
     #[test]
     fn dot_arity_mismatch_is_protocol_error() {
         let (mut kchan, mut pchan) = duplex();
+        let packing = test_packing(1 << 12);
+        let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
             // Keyholder sends 2 ciphertexts; the peer's row has 3.
-            let _ =
-                dot_many_keyholder(&mut kchan, bob_keypair(), &[bi(1), bi(2)], 1, None, &ctx(8));
+            let _ = dot_many_keyholder(&mut kchan, bob_keypair(), &[bi(1), bi(2)], 1, &p2, &ctx(8));
         });
         let err = dot_many_peer(
             &mut pchan,
             &bob_keypair().public,
             &[vec![bi(1), bi(2), bi(3)]],
             &BigUint::from_u64(10),
-            None,
+            &packing,
             &ctx(9),
         )
         .unwrap_err();
@@ -811,123 +797,60 @@ mod tests {
     #[test]
     fn dot_many_computes_all_squared_distances() {
         let (xs, ys_rows) = distance_rows([3, 4], &[[0, 0], [3, 0], [6, 8]]);
-        let (us, masks, _) = run_dot_many(&xs, &ys_rows, &BigUint::from_u64(1 << 16), None);
+        let (us, masks) = run_dot_many(&xs, &ys_rows, &BigUint::from_u64(1 << 16));
         let expect = [25i64, 16, 25]; // dist²((3,4), ·)
         for j in 0..3 {
             assert_eq!(&us[j] - &masks[j], bi(expect[j]), "point {j}");
         }
     }
 
-    fn test_packing(offset: u64) -> ResponsePacking {
-        // Slot wide enough for |value| + |mask| ≤ offset on each side.
-        let bits = BigUint::from_u64(2 * offset).bit_length() + 1;
-        ResponsePacking {
-            layout: SlotLayout::new(bob_keypair().public.bits(), bits).unwrap(),
-            offset: BigUint::from_u64(offset),
-        }
-    }
-
     #[test]
-    fn packed_group_matches_products_with_one_reply_word() {
-        let xs: Vec<BigInt> = [3i64, -1, 0, 12, 7, -9].iter().map(|&v| bi(v)).collect();
-        let ys: Vec<BigInt> = [5i64, 5, -9, 2, -2, 4].iter().map(|&v| bi(v)).collect();
-        let masks = vec![bi(10), bi(-4), bi(0), bi(-6), bi(3), bi(-3)]; // Σ = 0
-        let packing = test_packing(1 << 12);
-        assert!(
-            packing.layout.capacity() >= xs.len(),
-            "{:?}",
-            packing.layout
-        );
-        let (us, metrics) = run_with_masks(
-            std::slice::from_ref(&xs),
-            std::slice::from_ref(&ys),
-            std::slice::from_ref(&masks),
-            Some(packing),
-        );
-        for i in 0..xs.len() {
-            let expect = &(&xs[i] * &ys[i]) + &masks[i];
-            assert_eq!(us[0][i], expect, "element {i}");
-        }
-        // All six masked products rode one packed word.
-        assert_eq!(
-            metrics.messages_received, 1,
-            "one reply message carrying one word"
-        );
-    }
-
-    #[test]
-    fn packed_batched_groups_match_unpacked_groups() {
-        let xs_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(3), bi(-1)], vec![bi(7)], vec![bi(0), bi(2), bi(5)]];
-        let ys_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(5), bi(5)], vec![bi(-2)], vec![bi(1), bi(4), bi(-6)]];
-        let (us_plain, masks_plain, _) = run_batched_groups(&xs_groups, &ys_groups, 30, 31);
-
-        let packing = test_packing(1 << 12);
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs_groups.clone();
-        let p2 = packing.clone();
-        let keyholder = std::thread::spawn(move || {
-            let kctx = ctx(30).narrow("mul");
-            mul_batches_keyholder(
-                &mut kchan,
-                bob_keypair(),
-                &xs2,
-                |g| kctx.at(g as u64),
-                Some(&p2),
-            )
-            .unwrap()
-        });
-        let pctx = ctx(31);
-        let mask_ctx = pctx.narrow("mask");
-        let mul_ctx = pctx.narrow("mul");
-        let sizes: Vec<usize> = ys_groups.iter().map(Vec::len).collect();
-        let masks = mul_batches_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys_groups,
-            |g| {
-                zero_sum_masks(
-                    mask_ctx.rng_for(g as u64),
-                    sizes[g],
-                    &BigUint::from_u64(1000),
-                )
-            },
-            |g| mul_ctx.at(g as u64),
-            Some(&packing),
-        )
-        .unwrap();
-        let us = keyholder.join().unwrap();
-        // Identical mask draws (same keyed streams) and identical masked
-        // products — only the transport changed.
-        assert_eq!(masks, masks_plain);
-        assert_eq!(us, us_plain);
-    }
-
-    #[test]
-    fn packed_dot_many_matches_unpacked_shares() {
+    fn dot_reply_ships_ceil_rows_over_capacity_words() {
+        // Five rows, answered to a hand-driven keyholder so the reply words
+        // can be counted; the shares are the same under every layout
+        // because row j's mask is keyed by j alone.
+        let kp = bob_keypair();
         let (xs, ys_rows) = distance_rows([3, 4], &[[0, 0], [3, 0], [6, 8], [1, 2], [5, 5]]);
         let mask_bound = BigUint::from_u64(1 << 16);
+        let mut r = rng(14);
+        let cts: Vec<BigUint> = xs
+            .iter()
+            .map(|x| {
+                kp.public
+                    .encrypt_signed(x, &mut r)
+                    .unwrap()
+                    .as_biguint()
+                    .clone()
+            })
+            .collect();
+        let mut shares = Vec::new();
         // Offset must cover dist² + mask: dist² ≤ 200 here, mask ≤ 2^16.
-        let packing = test_packing((1 << 16) + 200);
-        let (us_plain, masks_plain, bytes_plain) = run_dot_many(&xs, &ys_rows, &mask_bound, None);
-        let (us_packed, masks_packed, bytes_packed) =
-            run_dot_many(&xs, &ys_rows, &mask_bound, Some(packing));
-        // Same keyed mask streams → identical shares on both sides.
-        assert_eq!(masks_packed, masks_plain);
-        assert_eq!(us_packed, us_plain);
-        let expect = [25i64, 16, 25, 8, 5]; // dist²((3,4), ·)
-        for j in 0..5 {
-            assert_eq!(&us_packed[j] - &masks_packed[j], bi(expect[j]), "point {j}");
+        for packing in packings((1 << 16) + 200) {
+            let (mut kchan, mut pchan) = duplex();
+            kchan.send(&cts).unwrap();
+            let masks = dot_many_peer(
+                &mut pchan,
+                &kp.public,
+                &ys_rows,
+                &mask_bound,
+                &packing,
+                &ctx(15),
+            )
+            .unwrap();
+            let words: Vec<BigUint> = kchan.recv().unwrap();
+            assert_eq!(words.len(), 5usize.div_ceil(packing.layout.capacity()));
+            let us = packing.unpack_signed(kp, &words, 5).unwrap();
+            let expect = [25i64, 16, 25, 8, 5]; // dist²((3,4), ·)
+            for j in 0..5 {
+                assert_eq!(&us[j] - &masks[j], bi(expect[j]), "point {j}");
+            }
+            shares.push((us, masks));
         }
-        assert!(
-            bytes_plain as f64 >= 4.0 * bytes_packed as f64,
-            "reply bytes {bytes_plain} unpacked vs {bytes_packed} packed"
-        );
+        assert!(shares.windows(2).all(|w| w[0] == w[1]));
     }
 
     /// A peer facing one hand-injected single-ciphertext group.
-    fn peer_against(ct: BigUint, mask: i64, packing: Option<&ResponsePacking>) -> SmcError {
+    fn peer_against(ct: BigUint, mask: i64, packing: &ResponsePacking) -> SmcError {
         let (mut kchan, mut pchan) = duplex();
         kchan.send_batch(&[vec![ct]]).unwrap();
         mul_batches_peer(
@@ -954,7 +877,7 @@ mod tests {
             .unwrap()
             .as_biguint()
             .clone();
-        let err = peer_against(ct, -1000, Some(&packing));
+        let err = peer_against(ct, -1000, &packing);
         assert!(matches!(err, SmcError::Protocol(_)));
     }
 
@@ -980,7 +903,7 @@ mod tests {
     #[test]
     fn peer_rejects_invalid_ciphertext() {
         // A hand-injected invalid "ciphertext" (zero).
-        let err = peer_against(BigUint::zero(), 0, None);
+        let err = peer_against(BigUint::zero(), 0, &test_packing(1 << 12));
         assert!(matches!(err, SmcError::Crypto(_)));
     }
 }

@@ -4,13 +4,14 @@
 //! satisfy their masking identities.
 
 use ppds_bigint::{BigInt, BigUint};
-use ppds_paillier::Keypair;
+use ppds_paillier::{Keypair, SlotLayout};
 use ppds_smc::compare::{
     compare_batch_alice, compare_batch_bob, CmpOp, Comparator, ComparisonDomain,
 };
 use ppds_smc::millionaires::{yao_alice, yao_bob, YaoConfig};
 use ppds_smc::multiplication::{
     dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
+    ResponsePacking,
 };
 use ppds_smc::ProtocolContext;
 use ppds_transport::duplex;
@@ -22,6 +23,15 @@ use std::sync::OnceLock;
 fn keypair() -> &'static Keypair {
     static KP: OnceLock<Keypair> = OnceLock::new();
     KP.get_or_init(|| Keypair::generate(128, &mut StdRng::seed_from_u64(7)))
+}
+
+/// Response slots for signed values of magnitude at most `offset`.
+fn packing(offset: u64) -> ResponsePacking {
+    let bits = BigUint::from_u64(2 * offset).bit_length() + 1;
+    ResponsePacking {
+        layout: SlotLayout::new(keypair().public.bits(), bits).unwrap(),
+        offset: BigUint::from_u64(offset),
+    }
 }
 
 proptest! {
@@ -73,7 +83,7 @@ proptest! {
             let (mut achan, mut bchan) = duplex();
             let alice = std::thread::spawn(move || {
                 let actx = ProtocolContext::new(seed);
-                compare_batch_alice(comparator, &mut achan, keypair(), &[a], op, &domain, false, &actx)
+                compare_batch_alice(comparator, &mut achan, keypair(), &[a], op, &domain, &actx)
                     .unwrap()
             });
             let bctx = ProtocolContext::new(seed.wrapping_add(1));
@@ -84,7 +94,6 @@ proptest! {
                 &[b],
                 op,
                 &domain,
-                false,
                 &bctx,
             )
             .unwrap();
@@ -109,11 +118,14 @@ proptest! {
         let mut mask_rng = StdRng::seed_from_u64(seed);
         let masks = zero_sum_masks(&mut mask_rng, xs.len(), &BigUint::from_u64(1 << 20));
 
+        // The closing zero-sum mask can reach (len − 1)·2^20.
+        let packing = packing(((xs.len() as u64) << 20) + (1 << 14));
         let (mut kchan, mut pchan) = duplex();
         let xs2 = xs_big.clone();
+        let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
             let kctx = ProtocolContext::new(seed.wrapping_add(1));
-            mul_batches_keyholder(&mut kchan, keypair(), &[xs2], |_| kctx, None).unwrap()
+            mul_batches_keyholder(&mut kchan, keypair(), &[xs2], |_| kctx, &p2).unwrap()
         });
         let pctx = ProtocolContext::new(seed.wrapping_add(2));
         mul_batches_peer(
@@ -122,7 +134,7 @@ proptest! {
             &[ys_big],
             |_| masks.clone(),
             |_| pctx,
-            None,
+            &packing,
         )
         .unwrap();
         let ws = keyholder.join().unwrap().remove(0);
@@ -145,10 +157,12 @@ proptest! {
         let xs_big: Vec<BigInt> = xs.iter().map(|&v| BigInt::from_i64(v)).collect();
         let ys_big: Vec<BigInt> = ys.iter().map(|&v| BigInt::from_i64(v)).collect();
 
+        let packing = packing((1 << 24) + (1 << 14));
         let (mut kchan, mut pchan) = duplex();
         let xs2 = xs_big.clone();
+        let p2 = packing.clone();
         let keyholder = std::thread::spawn(move || {
-            dot_many_keyholder(&mut kchan, keypair(), &xs2, 1, None, &ProtocolContext::new(seed))
+            dot_many_keyholder(&mut kchan, keypair(), &xs2, 1, &p2, &ProtocolContext::new(seed))
                 .unwrap()
         });
         let v = dot_many_peer(
@@ -156,7 +170,7 @@ proptest! {
             &keypair().public,
             &[ys_big],
             &BigUint::from_u64(1 << 24),
-            None,
+            &packing,
             &ProtocolContext::new(seed.wrapping_add(1)),
         )
         .unwrap();

@@ -1,8 +1,6 @@
 //! Backend parity: the secret-sharing backend must be observationally
 //! interchangeable with the Paillier backend everywhere the paper's
-//! protocols surface a result. Concretely, for every protocol mode, with
-//! the Paillier side in both of its transport framings (unpacked and
-//! slot-packed):
+//! protocols surface a result. Concretely, for every protocol mode:
 //!
 //! 1. clustering labels are byte-identical across backends;
 //! 2. the `LeakageLog` (event *order* included — the Figure-1-defense
@@ -96,6 +94,8 @@ fn assert_backend_parity(
     }
 }
 
+// The `_and_framings` suffix predates the single Paillier encoding; the
+// name is kept so the suite's test id stays stable.
 #[test]
 fn all_modes_agree_across_backends_and_framings() {
     let points = lattice_points(17, 6, 5);
@@ -103,73 +103,48 @@ fn all_modes_agree_across_backends_and_framings() {
     let vertical = VerticalPartition::split(&points, 1);
     let arbitrary = ArbitraryPartition::random(&mut rng(0xA5A5), &points);
 
-    for packing in [false, true] {
-        let tag = if packing { "packed" } else { "unpacked" };
-        let p_cfg = base_cfg().with_packing(packing);
-        let s_cfg = base_cfg().with_backend(BackendKind::Sharing);
+    let p_cfg = base_cfg();
+    let s_cfg = base_cfg().with_backend(BackendKind::Sharing);
 
-        let p = run_horizontal_pair(&p_cfg, &alice, &bob, rng(1), rng(2)).unwrap();
-        let s = run_horizontal_pair(&s_cfg, &alice, &bob, rng(1), rng(2)).unwrap();
-        assert_backend_parity(&format!("horizontal/{tag}"), &p, &s);
+    let p = run_horizontal_pair(&p_cfg, &alice, &bob, rng(1), rng(2)).unwrap();
+    let s = run_horizontal_pair(&s_cfg, &alice, &bob, rng(1), rng(2)).unwrap();
+    assert_backend_parity("horizontal", &p, &s);
 
-        let mut enh = p_cfg;
-        enh.params.min_pts = 3; // force the joint core tests to engage
-        let mut enh_s = s_cfg;
-        enh_s.params.min_pts = 3;
-        let p = run_enhanced_pair(&enh, &alice, &bob, rng(3), rng(4)).unwrap();
-        let s = run_enhanced_pair(&enh_s, &alice, &bob, rng(3), rng(4)).unwrap();
-        assert_backend_parity(&format!("enhanced/{tag}"), &p, &s);
+    let mut enh = p_cfg;
+    enh.params.min_pts = 3; // force the joint core tests to engage
+    let mut enh_s = s_cfg;
+    enh_s.params.min_pts = 3;
+    let p = run_enhanced_pair(&enh, &alice, &bob, rng(3), rng(4)).unwrap();
+    let s = run_enhanced_pair(&enh_s, &alice, &bob, rng(3), rng(4)).unwrap();
+    assert_backend_parity("enhanced", &p, &s);
 
-        let p = run_vertical_pair(&p_cfg, &vertical, rng(5), rng(6)).unwrap();
-        let s = run_vertical_pair(&s_cfg, &vertical, rng(5), rng(6)).unwrap();
-        assert_backend_parity(&format!("vertical/{tag}"), &p, &s);
+    let p = run_vertical_pair(&p_cfg, &vertical, rng(5), rng(6)).unwrap();
+    let s = run_vertical_pair(&s_cfg, &vertical, rng(5), rng(6)).unwrap();
+    assert_backend_parity("vertical", &p, &s);
 
-        let p = run_arbitrary_pair(&p_cfg, &arbitrary, rng(7), rng(8)).unwrap();
-        let s = run_arbitrary_pair(&s_cfg, &arbitrary, rng(7), rng(8)).unwrap();
-        assert_backend_parity(&format!("arbitrary/{tag}"), &p, &s);
+    let p = run_arbitrary_pair(&p_cfg, &arbitrary, rng(7), rng(8)).unwrap();
+    let s = run_arbitrary_pair(&s_cfg, &arbitrary, rng(7), rng(8)).unwrap();
+    assert_backend_parity("arbitrary", &p, &s);
 
-        let parties = vec![
-            points[..2].to_vec(),
-            points[2..4].to_vec(),
-            points[4..].to_vec(),
-        ];
-        let mp = run_multiparty(&p_cfg, &parties, 99).unwrap();
-        let ms = run_multiparty(&s_cfg, &parties, 99).unwrap();
-        for (i, (po, so)) in mp.iter().zip(&ms).enumerate() {
-            assert_eq!(po.clustering, so.clustering, "multiparty/{tag} party {i}");
-            assert_eq!(po.leakage, so.leakage, "multiparty/{tag} party {i} leakage");
-            assert_eq!(po.yao, so.yao, "multiparty/{tag} party {i} yao");
-            assert_eq!(po.sharing, SharingLedger::default());
-            assert!(so.sharing.compares > 0, "multiparty/{tag} party {i} ledger");
-        }
-    }
-}
-
-/// Slot packing is a Paillier transport knob: a sharing session with it
-/// switched on moves the same ring elements — identical labels, leakage,
-/// correlations consumed, and wire bytes.
-#[test]
-fn sharing_backend_is_packing_invariant() {
-    let points = lattice_points(23, 6, 5);
-    let (alice, bob) = (points[..3].to_vec(), points[3..].to_vec());
-    let u_cfg = base_cfg().with_backend(BackendKind::Sharing);
-    let p_cfg = u_cfg.with_packing(true);
-    let u = run_horizontal_pair(&u_cfg, &alice, &bob, rng(9), rng(10)).unwrap();
-    let p = run_horizontal_pair(&p_cfg, &alice, &bob, rng(9), rng(10)).unwrap();
-    for (side, (uo, po)) in [("alice", (&u.0, &p.0)), ("bob", (&u.1, &p.1))] {
-        assert_eq!(uo.clustering, po.clustering, "{side}: labels");
-        assert_eq!(uo.leakage, po.leakage, "{side}: leakage");
-        assert_eq!(
-            uo.sharing, po.sharing,
-            "{side}: packing must not change the correlations consumed"
-        );
-        assert_eq!(uo.traffic, po.traffic, "{side}: wire bytes");
+    let parties = vec![
+        points[..2].to_vec(),
+        points[2..4].to_vec(),
+        points[4..].to_vec(),
+    ];
+    let mp = run_multiparty(&p_cfg, &parties, 99).unwrap();
+    let ms = run_multiparty(&s_cfg, &parties, 99).unwrap();
+    for (i, (po, so)) in mp.iter().zip(&ms).enumerate() {
+        assert_eq!(po.clustering, so.clustering, "multiparty party {i}");
+        assert_eq!(po.leakage, so.leakage, "multiparty party {i} leakage");
+        assert_eq!(po.yao, so.yao, "multiparty party {i} yao");
+        assert_eq!(po.sharing, SharingLedger::default());
+        assert!(so.sharing.compares > 0, "multiparty party {i} ledger");
     }
 }
 
 /// The headline perf claim, pinned: on the same vertical workload the
 /// sharing backend must move at least 10× fewer wire bytes than the
-/// packed-Paillier path.
+/// Paillier path.
 #[test]
 fn sharing_moves_an_order_of_magnitude_fewer_bytes_on_vertical() {
     let points = lattice_points(31, 12, 5);
@@ -182,7 +157,7 @@ fn sharing_moves_an_order_of_magnitude_fewer_bytes_on_vertical() {
     let (pb, sb) = (pa.traffic.bytes_sent, sa.traffic.bytes_sent);
     assert!(
         sb * 10 <= pb,
-        "sharing sent {sb} bytes, packed Paillier {pb}: need >= 10x reduction"
+        "sharing sent {sb} bytes, Paillier {pb}: need >= 10x reduction"
     );
 }
 

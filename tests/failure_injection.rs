@@ -29,13 +29,22 @@ fn test_keypair() -> Keypair {
 /// against whatever frame the fake keyholder already queued.
 fn one_product_peer<C: Channel>(chan: &mut C, kp: &Keypair, seed: u64) -> SmcError {
     let ctx = ProtocolContext::new(seed);
+    let mut cfg = ProtocolConfig::new(
+        DbscanParams {
+            eps_sq: 4,
+            min_pts: 2,
+        },
+        10,
+    );
+    cfg.key_bits = kp.public.bits();
+    let (packing, _) = ppdbscan::domain::response_packings(&cfg, 1).unwrap();
     mul_batches_peer(
         chan,
         &kp.public,
         &[vec![BigInt::from_i64(1)]],
         |_| vec![BigInt::from_i64(3)],
         |g| ctx.at(g as u64),
-        None,
+        &packing,
     )
     .unwrap_err()
 }
@@ -118,7 +127,6 @@ fn peer_disconnect_mid_protocol_is_transport_error() {
         &[3],
         CmpOp::Lt,
         &domain,
-        false,
         &ProtocolContext::new(4),
     )
     .unwrap_err();

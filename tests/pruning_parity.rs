@@ -1,8 +1,7 @@
 //! Pruning parity: grid candidate pruning must be a pure *work* optimization,
 //! never a *result* change, wherever the candidate generator is exact.
 //!
-//! For every protocol mode, both backends, and Paillier packed/unpacked, the pruned
-//! run (`Pruning::Grid`) is compared against the exhaustive run
+//! For every protocol mode on both backends, the pruned run (`Pruning::Grid`) is compared against the exhaustive run
 //! (`Pruning::Exhaustive`) under identical seeds on a workload of two blobs
 //! far enough apart that every cross-blob pair falls outside the pruning
 //! bands:
@@ -66,11 +65,10 @@ fn base_cfg() -> ProtocolConfig {
     )
 }
 
-/// The backend × packing matrix every mode is checked under.
+/// The backends every mode is checked under.
 fn config_matrix() -> Vec<(&'static str, ProtocolConfig)> {
     vec![
         ("paillier", base_cfg()),
-        ("paillier/packed", base_cfg().with_packing(true)),
         ("sharing", base_cfg().with_backend(BackendKind::Sharing)),
     ]
 }

@@ -6,7 +6,7 @@ use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{run_participants, Mode, Participant, PartyData};
 use ppdbscan::VerticalPartition;
 use ppds_dbscan::datagen::{split_alternating, standard_blobs};
-use ppds_dbscan::{DbscanParams, Point, Quantizer};
+use ppds_dbscan::{DbscanParams, Point, Pruning, Quantizer};
 use ppds_server::{
     hosted, open_session, ops_get, run_session, session_seed, ClientError, Server, ServerConfig,
     SessionState,
@@ -49,11 +49,10 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// One e2e scenario: the mode, the negotiated knobs, and the client's and
-/// server's data views.
+/// One e2e scenario: the session id, and the client's and server's data
+/// views (which select the mode).
 struct Scenario {
     id: u64,
-    packing: bool,
     client_data: PartyData,
     server_data: PartyData,
     client_seed: u64,
@@ -66,31 +65,21 @@ fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario {
             id: 1,
-            packing: false,
             client_data: PartyData::Horizontal(alice.clone()),
             server_data: PartyData::Horizontal(bob.clone()),
             client_seed: 101,
         },
         Scenario {
             id: 2,
-            packing: false,
-            client_data: PartyData::Enhanced(alice.clone()),
-            server_data: PartyData::Enhanced(bob.clone()),
+            client_data: PartyData::Enhanced(alice),
+            server_data: PartyData::Enhanced(bob),
             client_seed: 102,
         },
         Scenario {
             id: 3,
-            packing: true,
             client_data: PartyData::Vertical(vertical.alice),
             server_data: PartyData::Vertical(vertical.bob),
             client_seed: 103,
-        },
-        Scenario {
-            id: 4,
-            packing: true,
-            client_data: PartyData::Horizontal(alice),
-            server_data: PartyData::Horizontal(bob),
-            client_seed: 104,
         },
     ]
 }
@@ -128,12 +117,11 @@ fn concurrent_mixed_sessions_match_direct_runs_and_metrics_are_live() {
     let addr = server.local_addr();
     let ops = server.ops_addr();
 
-    // Open all four sessions before any client runs: every server-side
+    // Open all three sessions before any client runs: every server-side
     // task is now in flight simultaneously, pinned at the key exchange.
     let mut opened = Vec::new();
     for sc in scenarios() {
-        let cfg = base_cfg().with_packing(sc.packing);
-        let participant = Participant::new(cfg)
+        let participant = Participant::new(base_cfg())
             .role(Party::Alice)
             .data(sc.client_data.clone())
             .seed(sc.client_seed);
@@ -142,21 +130,21 @@ fn concurrent_mixed_sessions_match_direct_runs_and_metrics_are_live() {
         opened.push((sc, session, participant));
     }
 
-    // Live metrics while all four sessions are active: the acceptance
+    // Live metrics while all three sessions are active: the acceptance
     // gauges must be present and current on the operator endpoint.
     let metrics = ops_get(&ops, "/metrics").expect("metrics scrape");
     assert!(
-        metrics.contains("server_active_sessions 4"),
+        metrics.contains("server_active_sessions 3"),
         "active gauge live during run:\n{metrics}"
     );
     assert!(
         metrics.contains("engine_queue_depth"),
         "engine gauge exported:\n{metrics}"
     );
-    assert!(metrics.contains("server_sessions_accepted 4"), "{metrics}");
+    assert!(metrics.contains("server_sessions_accepted 3"), "{metrics}");
     assert_eq!(ops_get(&ops, "/healthz").expect("healthz"), "ok\n");
 
-    // Run all four concurrently over real TCP.
+    // Run all three concurrently over real TCP.
     let outcomes: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = opened
             .into_iter()
@@ -170,7 +158,7 @@ fn concurrent_mixed_sessions_match_direct_runs_and_metrics_are_live() {
     // Byte-identity: a direct in-process run of the same pair with the
     // same seeds must agree on labels, leakage, ledger, and traffic.
     for (sc, via_server) in &outcomes {
-        let cfg = base_cfg().with_packing(sc.packing);
+        let cfg = base_cfg();
         let direct_server = Participant::new(cfg)
             .role(Party::Bob)
             .data(sc.server_data.clone())
@@ -210,13 +198,18 @@ fn concurrent_mixed_sessions_match_direct_runs_and_metrics_are_live() {
 
     // Registry and operator views agree once everything completed.
     wait_until("all sessions completed", || {
-        server.sessions().len() == 4
+        server.sessions().len() == 3
             && server
                 .sessions()
                 .iter()
                 .all(|s| s.state == SessionState::Completed)
     });
     let sessions = ops_get(&ops, "/sessions").expect("sessions scrape");
+    assert!(
+        sessions.starts_with("id mode state peer\n"),
+        "one encoding, no packing column: {sessions}"
+    );
+    assert!(!sessions.contains("packing"), "{sessions}");
     assert!(sessions.contains("1 horizontal completed"), "{sessions}");
     assert!(sessions.contains("2 enhanced completed"), "{sessions}");
     assert!(sessions.contains("3 vertical completed"), "{sessions}");
@@ -228,10 +221,10 @@ fn concurrent_mixed_sessions_match_direct_runs_and_metrics_are_live() {
     );
 
     let report = server.shutdown(Duration::from_secs(5));
-    assert_eq!(report.completed, 4);
+    assert_eq!(report.completed, 3);
     assert_eq!(report.failed, 0);
     assert_eq!(report.dropped, 0);
-    assert_eq!(report.engine.completed, 4);
+    assert_eq!(report.engine.completed, 3);
 }
 
 #[test]
@@ -467,7 +460,7 @@ fn negotiation_cache_skips_rechecks_for_reconnecting_clients() {
     let server = start_server(vec![PartyData::Horizontal(bob)], 2, 4);
     let addr = server.local_addr();
 
-    // Identical preamble three times: the knobs are adopted and
+    // Identical preamble three times: the knob is adopted and
     // cross-checked once; both reconnects take the cache hit.
     for seed in [711, 712, 713] {
         let participant = Participant::new(base_cfg())
@@ -477,11 +470,11 @@ fn negotiation_cache_skips_rechecks_for_reconnecting_clients() {
         run_session(&addr, participant, 0, TIMEOUT).expect("session completes");
     }
     // A changed knob is a different fingerprint: re-negotiated once.
-    let packed = Participant::new(base_cfg().with_packing(true))
+    let pruned = Participant::new(base_cfg().with_pruning(Pruning::Grid { coarseness: 1 }))
         .role(Party::Alice)
         .data(PartyData::Horizontal(alice))
         .seed(714);
-    run_session(&addr, packed, 0, TIMEOUT).expect("packed session completes");
+    run_session(&addr, pruned, 0, TIMEOUT).expect("pruned session completes");
 
     let metrics = server.metrics();
     assert_eq!(

@@ -404,12 +404,19 @@ fn horizontal_bytes_scale_linearly_with_dimension() {
         m2.yao.comparisons, m8.yao.comparisons,
         "identical geometry must issue identical comparison sequences"
     );
-    // Each pair exchanges m ciphertexts per direction; going from m = 2 to
-    // m = 8 adds 12 ciphertexts per pair. A 256-bit-key ciphertext is 64
-    // wire bytes plus its 4-byte length prefix.
+    // Each pair's request carries m ciphertexts; going from m = 2 to m = 8
+    // adds 6 per pair. The masked replies of one query (3 responder points
+    // × m products) ride ⌈3m/capacity⌉ packed words, so the reply leg
+    // grows with m by whole words. A 256-bit-key ciphertext is 64 wire
+    // bytes plus its 4-byte length prefix.
     let pairs = m2.yao.comparisons;
+    let queries = pairs / 3;
+    let reply_words = |m: usize| {
+        let packing = ppdbscan::domain::mul_response_packing(&c2, m).unwrap();
+        packing.layout.words_for(3 * m) as u64
+    };
     let ct_bytes = (2 * c2.key_bits / 8 + 4) as u64;
-    let expected_delta = pairs * 12 * ct_bytes;
+    let expected_delta = (pairs * 6 + queries * (reply_words(8) - reply_words(2))) * ct_bytes;
     let delta = m8.traffic.total_bytes() - m2.traffic.total_bytes();
     let rel_err = (delta as f64 - expected_delta as f64).abs() / expected_delta as f64;
     assert!(

@@ -220,9 +220,6 @@ fn assert_trace_accounts(name: &str, trace: &SessionTrace, total: MetricsSnapsho
     );
 }
 
-/// Transport framings under test: unpacked and slot-packed responses.
-const PACKINGS: [bool; 2] = [false, true];
-
 #[test]
 fn two_party_modes_are_byte_identical_traced_vs_untraced() {
     let all = blobs(18, 9_200);
@@ -251,37 +248,34 @@ fn two_party_modes_are_byte_identical_traced_vs_untraced() {
             PartyData::Arbitrary(ap.bob_values.clone()),
         ),
     ];
-    for (mode, alice, bob) in &modes {
-        for packing in PACKINGS {
-            let name = format!("{mode}/packing={packing}");
-            let cfg = base_cfg().with_packing(packing);
-            let (u_a, u_b, u_ha, u_hb) = run_pair(&cfg, alice.clone(), bob.clone(), false);
-            let (t_a, t_b, t_ha, t_hb) = run_pair(&cfg, alice.clone(), bob.clone(), true);
-            assert_same_session(&format!("{name}/alice"), &u_a, &t_a);
-            assert_same_session(&format!("{name}/bob"), &u_b, &t_b);
-            assert_eq!(u_ha, t_ha, "{name}: alice wire bytes must be identical");
-            assert_eq!(u_hb, t_hb, "{name}: bob wire bytes must be identical");
-            let trace = t_a.trace.as_ref().expect("alice opted in");
-            assert_trace_accounts(&name, trace, t_a.output.traffic);
-        }
+    let cfg = base_cfg();
+    for (name, alice, bob) in &modes {
+        let (u_a, u_b, u_ha, u_hb) = run_pair(&cfg, alice.clone(), bob.clone(), false);
+        let (t_a, t_b, t_ha, t_hb) = run_pair(&cfg, alice.clone(), bob.clone(), true);
+        assert_same_session(&format!("{name}/alice"), &u_a, &t_a);
+        assert_same_session(&format!("{name}/bob"), &u_b, &t_b);
+        assert_eq!(u_ha, t_ha, "{name}: alice wire bytes must be identical");
+        assert_eq!(u_hb, t_hb, "{name}: bob wire bytes must be identical");
+        let trace = t_a.trace.as_ref().expect("alice opted in");
+        assert_trace_accounts(name, trace, t_a.output.traffic);
     }
 }
 
 #[test]
 fn multiparty_mesh_is_byte_identical_traced_vs_untraced() {
     let all = blobs(18, 9_300);
-    for packing in PACKINGS {
-        let name = format!("multiparty/packing={packing}");
-        let cfg = base_cfg().with_packing(packing);
-        let (untraced, u_hashes) = run_mesh(&cfg, &all, false);
-        let (traced, t_hashes) = run_mesh(&cfg, &all, true);
-        for (i, (u, t)) in untraced.iter().zip(&traced).enumerate() {
-            assert_same_session(&format!("{name}/node{i}"), u, t);
-        }
-        assert_eq!(u_hashes, t_hashes, "{name}: wire bytes must be identical");
-        let trace = traced[0].trace.as_ref().expect("node 0 opted in");
-        assert_trace_accounts(&name, trace, traced[0].output.traffic);
+    let cfg = base_cfg();
+    let (untraced, u_hashes) = run_mesh(&cfg, &all, false);
+    let (traced, t_hashes) = run_mesh(&cfg, &all, true);
+    for (i, (u, t)) in untraced.iter().zip(&traced).enumerate() {
+        assert_same_session(&format!("multiparty/node{i}"), u, t);
     }
+    assert_eq!(
+        u_hashes, t_hashes,
+        "multiparty: wire bytes must be identical"
+    );
+    let trace = traced[0].trace.as_ref().expect("node 0 opted in");
+    assert_trace_accounts("multiparty", trace, traced[0].output.traffic);
 }
 
 #[test]
@@ -291,7 +285,7 @@ fn traced_vertical_chrome_export_is_loadable_and_accounts_exactly() {
     // sum exactly to the session's total traffic snapshot.
     let all = blobs(18, 9_400);
     let vp = VerticalPartition::split(&all, 1);
-    let cfg = base_cfg().with_packing(true);
+    let cfg = base_cfg();
     let (outcome, _, _, _) = run_pair(
         &cfg,
         PartyData::Vertical(vp.alice.clone()),
