@@ -1,68 +1,11 @@
-//! Engine benchmarks: batched precomputed-randomizer encryption vs the
-//! baseline `encrypt`, and scheduler throughput at increasing worker
-//! counts.
+//! Engine benchmark: scheduler throughput at increasing worker counts.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppdbscan::{ProtocolConfig, SessionRequest};
 use ppds_bench::rng;
-use ppds_bigint::BigUint;
-use ppds_dbscan::{dbscan_parallel, DbscanParams, Point};
+use ppds_dbscan::{DbscanParams, Point};
 use ppds_engine::{ClusteringJob, Engine, EngineConfig};
-use ppds_paillier::{Keypair, RandomizerPool};
 use rand::Rng;
-use std::hint::black_box;
-
-/// Baseline `encrypt` vs `encrypt_with_randomizer` fed from a prefilled
-/// pool, per key size — the paper's hot path, amortized.
-fn bench_precomputed_encryption(c: &mut Criterion) {
-    for bits in [256usize, 512, 1024] {
-        let keypair = Keypair::generate(bits, &mut rng(1));
-        let mut r = rng(2);
-        let m = BigUint::from_u64(r.random::<u32>() as u64);
-
-        let mut group = c.benchmark_group(format!("paillier_precompute_{bits}"));
-        group.sample_size(20);
-        group.bench_function("encrypt_baseline", |b| {
-            let mut r = rng(3);
-            b.iter(|| keypair.public.encrypt(black_box(&m), &mut r).unwrap());
-        });
-        group.bench_function("encrypt_precomputed", |b| {
-            // The randomizer is produced off the hot path (untimed setup);
-            // the measured region is what a session pays in steady state.
-            let mut r = rng(4);
-            b.iter_batched(
-                || keypair.public.precompute_randomizer(&mut r),
-                |randomizer| {
-                    keypair
-                        .public
-                        .encrypt_with_randomizer(black_box(&m), randomizer)
-                        .unwrap()
-                },
-                BatchSize::SmallInput,
-            );
-        });
-        group.bench_function("encrypt_pool_hit", |b| {
-            // Full pool path (lock + pop + combine), kept at a constant
-            // level so every take is a hit: setup replaces what the
-            // routine consumes, exactly like fillers that keep up.
-            let pool = RandomizerPool::new(keypair.public.clone(), 64);
-            pool.prefill(8, &mut rng(5));
-            let mut fill_rng = rng(6);
-            let mut r = rng(7);
-            b.iter_batched(
-                || pool.prefill(1, &mut fill_rng),
-                |()| pool.encrypt(black_box(&m), &mut r).unwrap(),
-                BatchSize::SmallInput,
-            );
-        });
-        group.bench_function("precompute_offline_cost", |b| {
-            // What the filler threads pay per randomizer, off the hot path.
-            let mut r = rng(6);
-            b.iter(|| keypair.public.precompute_randomizer(&mut r));
-        });
-        group.finish();
-    }
-}
 
 fn horizontal_job(seed: u64) -> ClusteringJob {
     let mut cfg = ProtocolConfig::new(
@@ -112,38 +55,5 @@ fn bench_engine_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Intra-job parallelism: sharded parallel DBSCAN vs the sequential
-/// reference on a plaintext workload.
-fn bench_sharded_dbscan(c: &mut Criterion) {
-    let mut r = rng(7);
-    let points: Vec<Point> = (0..4000)
-        .map(|_| Point::new(vec![r.random_range(-500..500), r.random_range(-500..500)]))
-        .collect();
-    let params = DbscanParams {
-        eps_sq: 100,
-        min_pts: 4,
-    };
-    let mut group = c.benchmark_group("dbscan_4000pts");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| ppds_dbscan::dbscan(black_box(&points), params));
-    });
-    for workers in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("sharded_parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| dbscan_parallel(black_box(&points), params, workers));
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_precomputed_encryption,
-    bench_engine_scaling,
-    bench_sharded_dbscan
-);
+criterion_group!(benches, bench_engine_scaling);
 criterion_main!(benches);

@@ -2,9 +2,9 @@
 //! both decryption paths (standard vs CRT), and the homomorphic operations
 //! the Multiplication Protocol is built from.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use ppds_bigint::{modular, random, BigUint};
-use ppds_paillier::{Keypair, PublicKey, SlotLayout};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ppds_bigint::{random, BigUint};
+use ppds_paillier::{Keypair, SlotLayout};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -78,38 +78,6 @@ fn bench_homomorphic_ops(c: &mut Criterion) {
     group.finish();
 }
 
-/// General-`g` encryption with pool-served randomizers (the protocol
-/// hot-path configuration): the `g^m` leg runs through the fixed-base comb
-/// when kernels are attached, through the plain windowed ladder otherwise.
-fn bench_general_g_kernels(c: &mut Criterion) {
-    let keypair = Keypair::generate(512, &mut rng(8));
-    let n = keypair.public.n().clone();
-    let nn = keypair.public.n_squared().clone();
-    // (n+1)² is a valid general generator without the (1+n)^m shortcut.
-    let np1 = &n + 1u64;
-    let g = modular::mod_mul(&np1, &np1, &nn);
-    let pk_off = PublicKey::with_generator(n.clone(), g).unwrap();
-    let pk_on = pk_off.clone().with_exp_kernels();
-    let m = random::gen_biguint_below(&mut rng(9), &n);
-
-    let mut group = c.benchmark_group("paillier_general_g_512");
-    group.sample_size(20);
-    for (label, pk) in [
-        ("encrypt_pooled_kernels_off", &pk_off),
-        ("encrypt_pooled_kernels_on", &pk_on),
-    ] {
-        group.bench_function(label, |b| {
-            let mut r = rng(10);
-            b.iter_batched(
-                || pk.precompute_randomizers(1, &mut r).pop().unwrap(),
-                |rand| pk.encrypt_with_randomizer(black_box(&m), rand).unwrap(),
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
-
 /// Unpacking k packed words: the batch-inversion validation path against
 /// the former per-word validate + decrypt loop.
 fn bench_unpack_words(c: &mut Criterion) {
@@ -161,7 +129,6 @@ criterion_group!(
     bench_keygen,
     bench_encrypt_decrypt,
     bench_homomorphic_ops,
-    bench_general_g_kernels,
     bench_unpack_words
 );
 criterion_main!(benches);

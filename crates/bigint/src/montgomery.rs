@@ -200,8 +200,8 @@ impl MontgomeryCtx {
     /// The exponent's window decomposition is computed once and the
     /// Montgomery context (R², one) is shared, so a batch costs strictly
     /// less than independent [`Self::pow_mod`] calls while producing
-    /// limb-identical results. This is the randomizer-pool refill kernel:
-    /// every pooled `r^n mod n²` rides one decomposition of `n`.
+    /// limb-identical results. This is the batch-encryption nonce kernel:
+    /// every `r^n mod n²` of a batch rides one decomposition of `n`.
     pub fn pow_many(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
         if exp.is_zero() {
             let one = &BigUint::one() % &self.modulus;

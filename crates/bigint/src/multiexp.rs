@@ -9,8 +9,9 @@
 //!
 //! * a comb table trades one-off precomputation for exponentiations with
 //!   **zero squarings** (one table multiply per window digit), which pays
-//!   off once a base is reused a handful of times (a Paillier generator, a
-//!   reused dot-product ciphertext);
+//!   off once a base is reused a handful of times (a response-leg
+//!   ciphertext scaled by many slot shifts, a reused dot-product
+//!   ciphertext);
 //! * Straus/Pippenger share **one squaring pass** across all `k` operands
 //!   of a product of powers, where the naive loop pays a full
 //!   square-and-multiply ladder per operand.

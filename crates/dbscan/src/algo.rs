@@ -160,67 +160,6 @@ fn expand_cluster(
     true
 }
 
-/// Runs the Algorithm 5 & 6 expansion over *precomputed* neighborhoods:
-/// `neighborhoods[i]` must hold the ascending indices of every point within
-/// `Eps` of point `i` (including `i` itself), exactly as
-/// [`NeighborIndex::region_query`] reports them.
-///
-/// Because expansion consumes the same neighborhood answers in the same
-/// order, the labels are identical to [`dbscan_with_index`] over the index
-/// that produced the neighborhoods — this is what lets
-/// [`crate::shard::dbscan_parallel`] compute all neighborhoods on worker
-/// threads first and keep the result bit-for-bit deterministic.
-///
-/// # Panics
-/// Panics if `neighborhoods.len() != n` or any neighbor index is out of
-/// range.
-pub fn dbscan_precomputed(
-    n: usize,
-    params: DbscanParams,
-    neighborhoods: &[Vec<usize>],
-) -> Clustering {
-    assert_eq!(neighborhoods.len(), n, "one neighborhood per point");
-    let mut states = vec![State::Unclassified; n];
-    let mut next_cluster = 0usize;
-    for i in 0..n {
-        if states[i] != State::Unclassified {
-            continue;
-        }
-        let seeds = &neighborhoods[i];
-        if seeds.len() < params.min_pts {
-            states[i] = State::Noise;
-            continue;
-        }
-        let cluster_id = next_cluster;
-        next_cluster += 1;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &s in seeds {
-            states[s] = State::Cluster(cluster_id);
-            if s != i {
-                queue.push_back(s);
-            }
-        }
-        while let Some(current) = queue.pop_front() {
-            let result = &neighborhoods[current];
-            if result.len() >= params.min_pts {
-                for &neighbor in result {
-                    match states[neighbor] {
-                        State::Unclassified => {
-                            queue.push_back(neighbor);
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Noise => {
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Cluster(_) => {}
-                    }
-                }
-            }
-        }
-    }
-    finish(states, next_cluster)
-}
-
 /// The horizontal-partition reference semantics (Algorithms 3 & 4, one
 /// party's view): density counts include the `external` points, but cluster
 /// expansion traverses only `own` points — the querying party never learns

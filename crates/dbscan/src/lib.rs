@@ -16,9 +16,6 @@
 //!   differs from centralized DBSCAN when clusters are bridged only by the
 //!   other party's points (measured by experiment E4);
 //! * [`index`] — linear-scan and uniform-grid region-query indexes;
-//! * [`shard`] — a grid index partitioned into disjoint cell shards so one
-//!   job's neighborhood checks fan out across worker threads with
-//!   deterministic (sorted) answers, plus [`shard::dbscan_parallel`];
 //! * [`datagen`] — synthetic workloads standing in for the private hospital
 //!   databases the paper motivates (Gaussian blobs, two moons, a cluster
 //!   enclosed by a ring, uniform noise), all quantized to a bounded integer
@@ -36,11 +33,9 @@ pub mod index;
 pub mod kdist;
 pub mod point;
 pub mod pruning;
-pub mod shard;
 
 pub use algo::{dbscan, dbscan_with_external_density, Clustering, DbscanParams, Label};
 pub use point::{dist_sq, Point, Quantizer};
 pub use pruning::{
     band_width, bands_intersect, coarse_cell, CoarseGrid, Pruning, PRUNING_DISCIPLINE,
 };
-pub use shard::{dbscan_parallel, ShardedGridIndex};

@@ -5,34 +5,21 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use ppdbscan::config::YaoLedger;
 use ppdbscan::run_session;
 use ppds_observe::MetricsRegistry;
-use ppds_paillier::{FillerHandle, Keypair, PoolStats, RandomizerPool};
 use ppds_transport::MetricsSnapshot;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How many workers and whether to host a shared precomputation pool.
+/// How many workers the engine runs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads pulling jobs from the queue. Each session additionally
     /// spawns its per-party threads, so the sweet spot is roughly
     /// `cores / 2` for two-party workloads.
     pub workers: usize,
-    /// Optional shared Paillier randomizer pool (layer 2); `None` runs the
-    /// scheduler without a precomputation service.
-    pub precompute: Option<PrecomputeConfig>,
-    /// Bounded-queue mode: when `Some(cap)`, a submission that would leave
-    /// more than `cap` jobs waiting (not yet picked up by a worker) is
-    /// refused with [`EngineError::QueueFull`] instead of growing the queue
-    /// without limit — the load-shedding contract a network front-end needs
-    /// to answer "busy" instead of accepting work it cannot start. `None`
-    /// (the default) keeps the historical unbounded queue. The admitted
-    /// depth is the `engine_queue_depth` gauge in [`Engine::registry`].
-    pub queue_cap: Option<usize>,
 }
 
 impl Default for EngineConfig {
@@ -41,103 +28,42 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().div_ceil(2))
                 .unwrap_or(4),
-            precompute: None,
-            queue_cap: None,
         }
     }
 }
 
 impl EngineConfig {
-    /// A config with exactly `workers` workers and no precompute pool.
+    /// A config with exactly `workers` workers.
     pub fn with_workers(workers: usize) -> Self {
-        EngineConfig {
-            workers,
-            ..Default::default()
-        }
-    }
-
-    /// Returns the config with the bounded-queue cap set (see
-    /// [`EngineConfig::queue_cap`]).
-    pub fn with_queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = Some(cap);
-        self
+        EngineConfig { workers }
     }
 }
 
-/// Typed scheduler errors surfaced to submitters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineError {
-    /// The bounded queue ([`EngineConfig::queue_cap`]) is full: `depth`
-    /// jobs are already waiting against a cap of `cap`. The job was **not**
-    /// accepted; the caller sheds load (a server replies `ServerBusy`) or
-    /// retries later.
-    QueueFull {
-        /// Jobs waiting when the submission was refused.
-        depth: usize,
-        /// The configured cap.
-        cap: usize,
-    },
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::QueueFull { depth, cap } => {
-                write!(f, "engine queue full: {depth} waiting, cap {cap}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-/// A generic unit of work for [`Engine::try_submit_task`]: runs on a worker
+/// A generic unit of work for [`Engine::submit_task`]: runs on a worker
 /// thread, reports success or a failure description. Unlike a
 /// [`ClusteringJob`] it deposits nothing in the results store — completion
 /// is visible through the report counters and whatever state the closure
-/// updates itself (a server's session registry, for instance).
+/// updates itself (a server's session registry, for instance). A task that
+/// panics counts as failed; the worker survives it.
 pub type TaskFn = Box<dyn FnOnce() -> Result<(), String> + Send + 'static>;
 
 /// What travels down the worker queue.
 enum Work {
     /// A clustering session job (results land in the store).
     Clustering(JobId, ClusteringJob),
-    /// A generic task with a label for the failure counters.
-    Task(JobId, &'static str, TaskFn),
-}
-
-/// Parameters of the engine-hosted [`RandomizerPool`].
-#[derive(Debug, Clone)]
-pub struct PrecomputeConfig {
-    /// Key size for the engine's service keypair.
-    pub key_bits: usize,
-    /// Randomizers buffered at most.
-    pub capacity: usize,
-    /// Background filler threads.
-    pub fillers: usize,
-    /// Seed for keypair generation and the filler RNG streams.
-    pub seed: u64,
-}
-
-impl Default for PrecomputeConfig {
-    fn default() -> Self {
-        PrecomputeConfig {
-            key_bits: 512,
-            capacity: 1024,
-            fillers: 1,
-            seed: 0x0E46_14E0,
-        }
-    }
+    /// A generic task.
+    Task(TaskFn),
 }
 
 /// Aggregated view over everything the engine has executed so far.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineReport {
-    /// Jobs accepted by [`Engine::submit`].
+    /// Jobs and tasks accepted by [`Engine::submit`] and
+    /// [`Engine::submit_task`].
     pub submitted: u64,
-    /// Jobs that finished successfully.
+    /// Jobs and tasks that finished successfully.
     pub completed: u64,
-    /// Jobs whose session returned an error.
+    /// Jobs and tasks that returned an error or panicked.
     pub failed: u64,
     /// Componentwise sum of every finished job's party traffic.
     pub traffic: MetricsSnapshot,
@@ -146,8 +72,6 @@ pub struct EngineReport {
     /// Sum of per-job wall times (exceeds real elapsed time when jobs ran
     /// in parallel; the ratio is the scheduler's effective concurrency).
     pub busy_time: Duration,
-    /// Stats of the shared randomizer pool, when one is hosted.
-    pub pool: Option<PoolStats>,
 }
 
 /// Shared mutable state between the engine handle and its workers.
@@ -161,11 +85,6 @@ struct EngineShared {
     rollup: Mutex<Rollup>,
     /// Operator-facing gauges and counters; see [`Engine::registry`].
     registry: Arc<MetricsRegistry>,
-    /// Serializes bounded-queue admission: the depth check and the enqueue
-    /// must be atomic with respect to other submitters, or two racing
-    /// submissions could both pass a `cap - 1` check. Uncontended in
-    /// practice — submissions happen per session, not per message.
-    admission: Mutex<()>,
 }
 
 #[derive(Default)]
@@ -183,14 +102,10 @@ pub struct Engine {
     workers: Vec<JoinHandle<()>>,
     shared: Arc<EngineShared>,
     next_id: AtomicU64,
-    queue_cap: Option<usize>,
-    pool: Option<Arc<RandomizerPool>>,
-    fillers: Option<FillerHandle>,
-    service_keypair: Option<Keypair>,
 }
 
 impl Engine {
-    /// Starts the worker pool (and the precompute pool, if configured).
+    /// Starts the worker pool.
     ///
     /// # Panics
     /// Panics if `config.workers` is zero.
@@ -205,7 +120,6 @@ impl Engine {
             failed: AtomicU64::new(0),
             rollup: Mutex::new(Rollup::default()),
             registry: Arc::new(MetricsRegistry::new()),
-            admission: Mutex::new(()),
         });
 
         let workers = (0..config.workers)
@@ -219,85 +133,41 @@ impl Engine {
             })
             .collect();
 
-        let (pool, fillers, service_keypair) = match config.precompute {
-            None => (None, None, None),
-            Some(pc) => {
-                let mut rng = StdRng::seed_from_u64(pc.seed);
-                let keypair = Keypair::generate(pc.key_bits, &mut rng);
-                let pool = RandomizerPool::new(keypair.public.clone(), pc.capacity);
-                let fillers = pool.spawn_fillers(pc.fillers.max(1), pc.seed ^ 0xF111);
-                (Some(pool), Some(fillers), Some(keypair))
-            }
-        };
-
         Engine {
             sender: Some(sender),
             workers,
             shared,
             next_id: AtomicU64::new(0),
-            queue_cap: config.queue_cap,
-            pool,
-            fillers,
-            service_keypair,
         }
     }
 
-    /// Admission control + enqueue, shared by every submit path. Holds the
-    /// admission lock across the depth check and the send so the cap is
-    /// race-free.
-    fn admit(&self, work: impl FnOnce(JobId) -> Work) -> Result<JobId, EngineError> {
-        let _admission = self.shared.admission.lock().unwrap();
-        let depth_gauge = self.shared.registry.gauge("engine_queue_depth");
-        if let Some(cap) = self.queue_cap {
-            let depth = depth_gauge.get().max(0) as usize;
-            if depth >= cap {
-                self.shared
-                    .registry
-                    .counter("engine_jobs_rejected_full")
-                    .inc();
-                return Err(EngineError::QueueFull { depth, cap });
-            }
-        }
-        let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
+    /// Enqueue shared by every submit path.
+    fn enqueue(&self, work: Work) {
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         self.shared.registry.counter("engine_jobs_submitted").inc();
-        depth_gauge.inc();
+        self.shared.registry.gauge("engine_queue_depth").inc();
         self.sender
             .as_ref()
             .expect("engine not shut down")
-            .send(work(id))
+            .send(work)
             .expect("workers alive while engine handle exists");
-        Ok(id)
     }
 
     /// Queues a job and returns its handle immediately.
-    ///
-    /// # Panics
-    /// Panics when a [`EngineConfig::queue_cap`] is configured and the
-    /// queue is full — bounded-queue callers must use [`Engine::try_submit`]
-    /// and handle [`EngineError::QueueFull`]. Without a cap (the default)
-    /// this never panics.
     pub fn submit(&self, job: ClusteringJob) -> JobId {
-        self.try_submit(job)
-            .expect("bounded engine queue overflowed; use try_submit to shed load")
+        let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        self.enqueue(Work::Clustering(id, job));
+        id
     }
 
-    /// Queues a job, refusing with [`EngineError::QueueFull`] when the
-    /// bounded queue ([`EngineConfig::queue_cap`]) is at capacity. Without
-    /// a configured cap this never fails.
-    pub fn try_submit(&self, job: ClusteringJob) -> Result<JobId, EngineError> {
-        self.admit(|id| Work::Clustering(id, job))
-    }
-
-    /// Queues a generic task (same queue, same workers, same backpressure
-    /// as clustering jobs). `label` names the task kind in failure logs.
-    /// The task's completion shows up in [`Engine::report`] counters and
-    /// the registry, **not** in the results store — [`Engine::wait`] /
-    /// [`Engine::take`] do not apply to task ids. This is the hook a
+    /// Queues a generic task on the same queue and workers as clustering
+    /// jobs. The task's completion shows up in [`Engine::report`] counters
+    /// and the registry, **not** in the results store. This is the hook a
     /// network front-end uses to schedule protocol sessions whose I/O it
-    /// owns itself.
-    pub fn try_submit_task(&self, label: &'static str, task: TaskFn) -> Result<JobId, EngineError> {
-        self.admit(|id| Work::Task(id, label, task))
+    /// owns itself; such a front-end enforces its own admission cap
+    /// against [`Engine::queue_depth`].
+    pub fn submit_task(&self, task: TaskFn) {
+        self.enqueue(Work::Task(task));
     }
 
     /// Jobs admitted but not yet picked up by a worker (the
@@ -311,9 +181,6 @@ impl Engine {
     }
 
     /// Queues several jobs, returning their handles in order.
-    ///
-    /// # Panics
-    /// Like [`Engine::submit`], panics if a bounded queue overflows.
     pub fn submit_all(&self, jobs: impl IntoIterator<Item = ClusteringJob>) -> Vec<JobId> {
         jobs.into_iter().map(|j| self.submit(j)).collect()
     }
@@ -374,17 +241,6 @@ impl Engine {
         }
     }
 
-    /// The shared randomizer pool, when [`PrecomputeConfig`] enabled one.
-    pub fn randomizer_pool(&self) -> Option<&Arc<RandomizerPool>> {
-        self.pool.as_ref()
-    }
-
-    /// The engine's service keypair (the private half matching the shared
-    /// pool's public key), when precompute is enabled.
-    pub fn service_keypair(&self) -> Option<&Keypair> {
-        self.service_keypair.as_ref()
-    }
-
     /// The operator metrics registry: scheduler gauges
     /// (`engine_queue_depth`, `engine_in_flight`), job counters
     /// (`engine_jobs_submitted` / `_completed` / `_failed`), and per-mode
@@ -405,7 +261,6 @@ impl Engine {
             traffic: rollup.traffic,
             yao: rollup.yao,
             busy_time: rollup.busy,
-            pool: self.pool.as_ref().map(|p| p.stats()),
         }
     }
 
@@ -422,9 +277,6 @@ impl Engine {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(fillers) = self.fillers.take() {
-            fillers.stop();
-        }
     }
 }
 
@@ -440,77 +292,31 @@ fn worker_loop(rx: &Receiver<Work>, shared: &EngineShared) {
     let jobs_completed = shared.registry.counter("engine_jobs_completed");
     let jobs_failed = shared.registry.counter("engine_jobs_failed");
     while let Ok(work) = rx.recv() {
-        let (id, job) = match work {
-            Work::Clustering(id, job) => (id, job),
-            Work::Task(_id, _label, task) => {
-                // Generic task: run it, account it, deposit nothing.
-                queue_depth.dec();
-                in_flight.inc();
-                let start = Instant::now();
-                let outcome = task();
-                let wall_time = start.elapsed();
-                shared.rollup.lock().unwrap().busy += wall_time;
-                let succeeded = outcome.is_ok();
-                {
-                    // Same lock discipline as clustering jobs: a drain
-                    // waiter that observes finished == submitted also
-                    // observes in-flight back at zero.
-                    let _results = shared.results.lock().unwrap();
-                    if succeeded {
-                        shared.completed.fetch_add(1, Ordering::Relaxed);
-                        jobs_completed.inc();
-                    } else {
-                        shared.failed.fetch_add(1, Ordering::Relaxed);
-                        jobs_failed.inc();
-                    }
-                    in_flight.dec();
-                }
-                shared.job_done.notify_all();
-                continue;
-            }
-        };
         queue_depth.dec();
         in_flight.inc();
-        let mode = job.request.mode_name();
         let start = Instant::now();
-        let outcome = run_session(&job.cfg, &job.request, job.seed);
-        let wall_time = start.elapsed();
-
-        let (traffic, yao) = match &outcome {
-            Ok(outputs) => {
-                let traffic = outputs.iter().map(|o| o.traffic).sum();
-                let mut yao = YaoLedger::default();
-                for output in outputs {
-                    yao.absorb(output.yao);
-                }
-                (traffic, yao)
+        let (succeeded, job_result) = match work {
+            Work::Task(task) => {
+                // A panicking task fails, not the worker: an uncaught
+                // unwind would end this thread and strand the queue behind
+                // it with the gauges never brought back.
+                let outcome = catch_unwind(AssertUnwindSafe(task));
+                shared.rollup.lock().unwrap().busy += start.elapsed();
+                (matches!(outcome, Ok(Ok(()))), None)
             }
-            Err(_) => (MetricsSnapshot::default(), YaoLedger::default()),
+            Work::Clustering(id, job) => {
+                let result = run_job(shared, id, &job, start);
+                (result.is_ok(), Some(result))
+            }
         };
-
-        {
-            let mut rollup = shared.rollup.lock().unwrap();
-            rollup.traffic += traffic;
-            rollup.yao.absorb(yao);
-            rollup.busy += wall_time;
-        }
-        shared.registry.record_traffic(mode, traffic);
-
-        let succeeded = outcome.is_ok();
-        let result = Arc::new(JobResult {
-            id,
-            mode,
-            outcome,
-            wall_time,
-            traffic,
-            yao,
-        });
         {
             // Insert before bumping the finished counters, under the same
             // lock `wait_all` holds while reading them: once a waiter sees
             // `finished == submitted`, every result is in the store.
             let mut results = shared.results.lock().unwrap();
-            results.insert(id.0, result);
+            if let Some(result) = job_result {
+                results.insert(result.id.0, result);
+            }
             if succeeded {
                 shared.completed.fetch_add(1, Ordering::Relaxed);
                 jobs_completed.inc();
@@ -524,4 +330,46 @@ fn worker_loop(rx: &Receiver<Work>, shared: &EngineShared) {
         }
         shared.job_done.notify_all();
     }
+}
+
+/// Runs one clustering session and rolls its traffic and Yao cost into the
+/// engine-wide totals.
+fn run_job(
+    shared: &EngineShared,
+    id: JobId,
+    job: &ClusteringJob,
+    start: Instant,
+) -> Arc<JobResult> {
+    let mode = job.request.mode_name();
+    let outcome = run_session(&job.cfg, &job.request, job.seed);
+    let wall_time = start.elapsed();
+
+    let (traffic, yao) = match &outcome {
+        Ok(outputs) => {
+            let traffic = outputs.iter().map(|o| o.traffic).sum();
+            let mut yao = YaoLedger::default();
+            for output in outputs {
+                yao.absorb(output.yao);
+            }
+            (traffic, yao)
+        }
+        Err(_) => (MetricsSnapshot::default(), YaoLedger::default()),
+    };
+
+    {
+        let mut rollup = shared.rollup.lock().unwrap();
+        rollup.traffic += traffic;
+        rollup.yao.absorb(yao);
+        rollup.busy += wall_time;
+    }
+    shared.registry.record_traffic(mode, traffic);
+
+    Arc::new(JobResult {
+        id,
+        mode,
+        outcome,
+        wall_time,
+        traffic,
+        yao,
+    })
 }

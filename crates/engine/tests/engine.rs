@@ -4,9 +4,8 @@
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{run_participants, Participant, PartyData};
 use ppdbscan::{ArbitraryPartition, PartyOutput, SessionRequest, VerticalPartition};
-use ppds_bigint::BigUint;
 use ppds_dbscan::{DbscanParams, Point};
-use ppds_engine::{ClusteringJob, Engine, EngineConfig, PrecomputeConfig};
+use ppds_engine::{ClusteringJob, Engine, EngineConfig};
 use ppds_smc::LeakageEvent;
 use ppds_smc::Party;
 use ppds_transport::MetricsSnapshot;
@@ -339,96 +338,33 @@ fn leakage_profile_preserved_per_concurrent_session() {
 }
 
 #[test]
-fn shared_randomizer_pool_serves_concurrent_encryptors() {
-    let engine = Engine::start(EngineConfig {
-        workers: 2,
-        precompute: Some(PrecomputeConfig {
-            key_bits: 128,
-            capacity: 64,
-            fillers: 2,
-            seed: 5,
-        }),
-        queue_cap: None,
-    });
-    let pool = engine.randomizer_pool().expect("pool configured").clone();
-    let keypair = engine.service_keypair().expect("service keypair").clone();
-
-    // Several "sessions" encrypt concurrently from the one shared pool.
-    let mut handles = Vec::new();
-    for t in 0..4u64 {
-        let pool = pool.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(t);
-            (0..25)
-                .map(|i| {
-                    let m = BigUint::from_u64(t * 1000 + i);
-                    (m.clone(), pool.encrypt(&m, &mut rng).unwrap())
-                })
-                .collect::<Vec<_>>()
-        }));
-    }
-    for handle in handles {
-        for (m, c) in handle.join().unwrap() {
-            assert_eq!(keypair.private.decrypt_crt(&c).unwrap(), m);
-        }
-    }
-    let report = engine.shutdown();
-    let stats = report.pool.expect("pool stats in report");
-    assert_eq!(stats.hits + stats.misses, 100);
-    assert!(stats.hits > 0, "background fillers never served a hit");
-}
-
-#[test]
-fn bounded_queue_sheds_load_with_typed_error() {
-    use ppds_engine::EngineError;
+fn panicking_task_fails_without_killing_its_worker() {
     use std::sync::mpsc;
+    use std::time::Duration;
 
-    let engine = Engine::start(EngineConfig::with_workers(1).with_queue_cap(1));
-
-    // Occupy the single worker with a task that blocks until released, so
-    // queue depth is fully under test control.
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    engine
-        .try_submit_task(
-            "blocker",
-            Box::new(move || {
-                release_rx.recv().expect("released");
-                Ok(())
-            }),
-        )
-        .expect("empty queue admits the blocker");
-
-    // Wait until the worker picked the blocker up (depth back to 0).
-    while engine.queue_depth() > 0 {
-        std::thread::yield_now();
-    }
-
-    // One slot: first queued job admitted, second refused by name.
-    engine
-        .try_submit(horizontal_job(1))
-        .expect("one slot available");
-    assert_eq!(engine.queue_depth(), 1);
-    let err = engine.try_submit(horizontal_job(2)).unwrap_err();
-    assert_eq!(err, EngineError::QueueFull { depth: 1, cap: 1 });
-    assert!(err.to_string().contains("queue full"), "{err}");
-
-    // The gauge backs the decision and the rejection is counted.
-    let registry = engine.registry();
-    assert_eq!(registry.gauge("engine_queue_depth").get(), 1);
-    assert_eq!(registry.counter("engine_jobs_rejected_full").get(), 1);
-
-    // Release the worker: the queue drains and capacity returns.
-    release_tx.send(()).expect("worker waiting");
+    // One worker: if the panic took the worker down, nothing would run the
+    // second task and the receive below would time out.
+    let engine = Engine::start(EngineConfig::with_workers(1));
+    let (ran_tx, ran_rx) = mpsc::channel::<()>();
+    engine.submit_task(Box::new(|| panic!("task panicked on purpose")));
+    engine.submit_task(Box::new(move || {
+        ran_tx.send(()).expect("test waiting");
+        Ok(())
+    }));
+    ran_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the task after a panicking one must still run");
     let results = engine.wait_all();
-    assert_eq!(results.len(), 1, "one clustering job ran");
-    assert!(results[0].is_ok());
-    engine
-        .try_submit(horizontal_job(3))
-        .expect("capacity returned after drain");
+    assert!(results.is_empty(), "tasks deposit no results");
+
+    let registry = engine.registry();
+    assert_eq!(registry.gauge("engine_in_flight").get(), 0);
+    assert_eq!(registry.gauge("engine_queue_depth").get(), 0);
+    assert_eq!(registry.counter("engine_jobs_failed").get(), 1);
     let report = engine.shutdown();
-    // blocker task + two admitted clustering jobs; the refused one is gone.
-    assert_eq!(report.submitted, 3);
-    assert_eq!(report.completed, 3);
+    assert_eq!(report.submitted, 2);
+    assert_eq!(report.completed, 1);
+    assert_eq!(report.failed, 1, "the panic counts as a failure");
 }
 
 #[test]
@@ -437,20 +373,13 @@ fn tasks_share_queue_accounting_with_jobs() {
     let hits = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
     for _ in 0..4 {
         let hits = std::sync::Arc::clone(&hits);
-        engine
-            .try_submit_task(
-                "bump",
-                Box::new(move || {
-                    hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    Ok(())
-                }),
-            )
-            .expect("unbounded");
+        engine.submit_task(Box::new(move || {
+            hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(())
+        }));
     }
-    engine
-        .try_submit_task("fails", Box::new(|| Err("intentional".into())))
-        .expect("unbounded");
-    let _ = engine.try_submit(horizontal_job(9));
+    engine.submit_task(Box::new(|| Err("intentional".into())));
+    engine.submit(horizontal_job(9));
     let results = engine.wait_all();
     assert_eq!(results.len(), 1, "only clustering jobs deposit results");
     let report = engine.shutdown();

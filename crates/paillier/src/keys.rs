@@ -1,10 +1,8 @@
 //! Key generation, encryption and decryption.
 
 use crate::error::PaillierError;
-use crate::precompute::RandomizerPool;
-use ppds_bigint::{modular, prime, random, BigUint, FixedBaseTable, MontgomeryCtx};
+use ppds_bigint::{modular, prime, random, BigUint, MontgomeryCtx};
 use rand::Rng;
-use std::sync::Arc;
 
 /// Smallest accepted key size (bits of `n`). Far below cryptographic
 /// strength — the floor only guards against degenerate message spaces in
@@ -32,16 +30,15 @@ impl Ciphertext {
     }
 }
 
-/// The public half of a Paillier keypair: `(n, g)` from §3.7 plus
-/// precomputed Montgomery state for `n²`.
+/// The public half of a Paillier keypair: `(n, g)` from §3.7 with the
+/// standard generator `g = n + 1`, plus precomputed Montgomery state for
+/// `n²`. That generator makes `g^m mod n²` a single multiplication
+/// (`(1 + n)^m = 1 + m·n mod n²`).
 #[derive(Clone)]
 pub struct PublicKey {
     n: BigUint,
     n_squared: BigUint,
     g: BigUint,
-    /// `g == n + 1`, the standard choice that makes `g^m mod n²` a single
-    /// multiplication (`(1 + n)^m = 1 + m·n mod n²`).
-    g_is_n_plus_one: bool,
     /// `(n - 1) / 2`: largest magnitude representable in the signed encoding.
     half_n: BigUint,
     mont_nn: MontgomeryCtx,
@@ -49,37 +46,6 @@ pub struct PublicKey {
     /// batch ciphertext validation (one batch inversion mod `n` instead of
     /// one GCD per ciphertext).
     mont_n: MontgomeryCtx,
-    /// Optional precomputed-randomizer source (see
-    /// [`PublicKey::with_randomizer_pool`]): when attached, every
-    /// [`PublicKey::encrypt`] — and with it re-randomization, signed
-    /// encryption, and packed-word encryption — consumes a pooled `r^n`
-    /// when one is buffered instead of exponentiating inline.
-    pool: Option<Arc<RandomizerPool>>,
-    /// Optional key-lifetime exponentiation tables (see
-    /// [`PublicKey::with_exp_kernels`]); like the randomizer pool, these
-    /// ride along with key clones and never change any ciphertext byte.
-    kernels: Option<Arc<ExpKernels>>,
-}
-
-/// Key-lifetime exponentiation-kernel tables attached to a [`PublicKey`]
-/// by [`PublicKey::with_exp_kernels`].
-///
-/// Today this holds the windowed fixed-base comb for the general-`g`
-/// encryption path (`g ≠ n+1`, see [`PublicKey::with_generator`]); keys
-/// with the standard generator already beat any table via the
-/// `(1+n)^m = 1 + mn` shortcut and carry no tables.
-pub struct ExpKernels {
-    /// Comb table for `g^m mod n²` covering exponents up to `n`'s width.
-    g_table: FixedBaseTable,
-}
-
-impl std::fmt::Debug for ExpKernels {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExpKernels")
-            .field("g_window", &self.g_table.window())
-            .field("g_max_exp_bits", &self.g_table.max_exp_bits())
-            .finish()
-    }
 }
 
 /// The private half: `(λ, μ)` from §3.7, plus the factorization and CRT
@@ -184,21 +150,18 @@ impl Keypair {
 
         // μ = (L(g^λ mod n²))^{-1} mod n. For g = n+1 this equals λ^{-1},
         // but compute it generically so the math matches the paper line by
-        // line and stays correct if a custom g is ever plugged in.
+        // line.
         let g_lambda = mont_nn.pow_mod(&g, &lambda);
         let ell = l_function(&g_lambda, &n)?;
         let mu = modular::mod_inverse(&ell, &n)?;
 
         let public = PublicKey {
             half_n: &(&n - &BigUint::one()) >> 1usize,
-            g_is_n_plus_one: true,
             n_squared,
             g,
             n: n.clone(),
             mont_nn,
             mont_n,
-            pool: None,
-            kernels: None,
         };
         let crt = CrtContext::new(&public, &p, &q)?;
         Some(Keypair {
@@ -276,98 +239,11 @@ impl PublicKey {
         Ok(PublicKey {
             half_n: &(&n - &BigUint::one()) >> 1usize,
             g: &n + 1u64,
-            g_is_n_plus_one: true,
             n,
             n_squared,
             mont_nn,
             mont_n,
-            pool: None,
-            kernels: None,
         })
-    }
-
-    /// Reconstructs a public key from a modulus `n` and an explicit
-    /// generator `g ∈ Z*_{n²}` (Paillier §3.7 allows any `g` whose order is
-    /// a nonzero multiple of `n`; the standard `g = n+1` is merely the
-    /// cheapest choice). Keys built this way support encryption and all
-    /// homomorphic operations; decryption requires the matching private key,
-    /// which always embeds its own generator.
-    ///
-    /// This is the one path where `g^m mod n²` is a full modular
-    /// exponentiation rather than the `(1+n)^m = 1 + mn` shortcut, so it is
-    /// also the path that benefits from [`PublicKey::with_exp_kernels`].
-    ///
-    /// # Errors
-    /// [`PaillierError::KeyTooSmall`] for a bad modulus, and
-    /// [`PaillierError::InvalidGenerator`] when `g` is zero, not below `n²`,
-    /// or not invertible (`gcd(g, n) ≠ 1`).
-    pub fn with_generator(n: BigUint, g: BigUint) -> Result<PublicKey, PaillierError> {
-        let mut public = PublicKey::from_modulus(n)?;
-        if g.is_zero() || g >= public.n_squared {
-            return Err(PaillierError::InvalidGenerator);
-        }
-        if !modular::gcd(&(&g % &public.n), &public.n).is_one() {
-            return Err(PaillierError::InvalidGenerator);
-        }
-        public.g_is_n_plus_one = g == public.g;
-        public.g = g;
-        Ok(public)
-    }
-
-    /// Returns a copy of this key carrying precomputed exponentiation
-    /// tables (currently: a windowed fixed-base comb for `g^m mod n²`).
-    /// Purely a speed lever — every ciphertext byte is identical with and
-    /// without kernels, so the tables are protocol-invisible.
-    ///
-    /// For keys with the standard generator `g = n+1` the `(1+n)^m`
-    /// shortcut already beats any table and this is a no-op.
-    pub fn with_exp_kernels(mut self) -> PublicKey {
-        if !self.g_is_n_plus_one && self.kernels.is_none() {
-            let g_table = FixedBaseTable::new(&self.mont_nn, &self.g, 4, self.n.bit_length());
-            self.kernels = Some(Arc::new(ExpKernels { g_table }));
-        }
-        self
-    }
-
-    /// Whether exponentiation-kernel tables are attached (always `false`
-    /// for standard-generator keys, where the shortcut wins).
-    pub fn has_exp_kernels(&self) -> bool {
-        self.kernels.is_some()
-    }
-
-    /// Returns a copy of this key that draws encryption randomizers from
-    /// `pool` whenever the pool has one buffered, falling back to inline
-    /// nonce exponentiation on a dry pool. This routes **every** hot-path
-    /// encryption under the key — protocol-layer `encrypt`/`encrypt_signed`
-    /// calls, [`PublicKey::rerandomize`], packed-word nonces — through the
-    /// precompute path without any signature changes at the call sites.
-    ///
-    /// Determinism note: a pool hit consumes a randomizer produced by the
-    /// pool's own RNG instead of drawing a nonce from the caller's stream,
-    /// so ciphertext *bytes* are no longer a pure function of the session
-    /// seed (protocol outputs, leakage, and ledgers are unaffected —
-    /// nonces never influence outcomes). Attach pools for throughput;
-    /// leave them off where transcript reproducibility is pinned.
-    ///
-    /// # Errors
-    /// [`PaillierError::RandomizerKeyMismatch`] if the pool was built for a
-    /// different modulus.
-    pub fn with_randomizer_pool(
-        mut self,
-        pool: Arc<RandomizerPool>,
-    ) -> Result<PublicKey, PaillierError> {
-        if pool.public_key().n() != self.n() {
-            return Err(PaillierError::RandomizerKeyMismatch);
-        }
-        self.pool = Some(pool);
-        Ok(self)
-    }
-
-    /// Drops any attached randomizer pool (used by the pool itself to avoid
-    /// a reference cycle when it stores its key).
-    pub(crate) fn without_pool(mut self) -> PublicKey {
-        self.pool = None;
-        self
     }
 
     /// The modulus `n` (the message space is `Z_n`).
@@ -405,21 +281,12 @@ impl PublicKey {
         }
     }
 
-    /// Encrypts `m ∈ Z_n` with a fresh nonce: `c = g^m · r^n mod n²`. When
-    /// a [`RandomizerPool`] is attached (see
-    /// [`PublicKey::with_randomizer_pool`]) and has a randomizer buffered,
-    /// the `r^n` exponentiation is served from the pool and the encryption
-    /// collapses to two modular multiplications.
+    /// Encrypts `m ∈ Z_n` with a fresh nonce: `c = g^m · r^n mod n²`.
     pub fn encrypt<R: Rng + ?Sized>(
         &self,
         m: &BigUint,
         rng: &mut R,
     ) -> Result<Ciphertext, PaillierError> {
-        if let Some(pool) = &self.pool {
-            if let Some(randomizer) = pool.take() {
-                return self.encrypt_with_randomizer(m, randomizer);
-            }
-        }
         let r = self.sample_nonce(rng);
         self.encrypt_with_nonce(m, &r)
     }
@@ -428,43 +295,26 @@ impl PublicKey {
     /// through one shared-exponent kernel pass ([`MontgomeryCtx::pow_many`]).
     ///
     /// Byte-identical to calling [`PublicKey::encrypt`] once per element
-    /// with the same `rng`: pool randomizers are consumed in the same order,
-    /// nonces are rejection-sampled from the identical stream positions, and
-    /// `pow_many` shares only the exponent recoding — every `r^n` value
-    /// matches the one-at-a-time ladder bit for bit.
+    /// with the same `rng`: nonces are rejection-sampled from the identical
+    /// stream positions, and `pow_many` shares only the exponent recoding —
+    /// every `r^n` value matches the one-at-a-time ladder bit for bit.
     pub fn encrypt_many<R: Rng + ?Sized>(
         &self,
         ms: &[BigUint],
         rng: &mut R,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
-        let mut out: Vec<Option<Ciphertext>> = vec![None; ms.len()];
-        // (index, message, freshly sampled nonce) for elements the pool
-        // could not serve; their r^n values are batched below.
-        let mut deferred: Vec<(usize, &BigUint, BigUint)> = Vec::with_capacity(ms.len());
-        for (i, m) in ms.iter().enumerate() {
-            if let Some(pool) = &self.pool {
-                if let Some(randomizer) = pool.take() {
-                    out[i] = Some(self.encrypt_with_randomizer(m, randomizer)?);
-                    continue;
-                }
-            }
-            let r = self.sample_nonce(rng);
+        let mut nonces = Vec::with_capacity(ms.len());
+        for m in ms {
+            nonces.push(self.sample_nonce(rng));
             if m >= &self.n {
                 return Err(PaillierError::MessageOutOfRange);
             }
-            deferred.push((i, m, r));
         }
-        if !deferred.is_empty() {
-            let nonces: Vec<BigUint> = deferred.iter().map(|(_, _, r)| r.clone()).collect();
-            let powers = self.mont_nn.pow_many(&nonces, &self.n);
-            for ((i, m, _), r_to_n) in deferred.into_iter().zip(powers) {
-                let g_to_m = self.g_pow(m);
-                out[i] = Some(Ciphertext(self.mul_mod_nn(&g_to_m, &r_to_n)));
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|c| c.expect("every slot filled"))
+        let powers = self.mont_nn.pow_many(&nonces, &self.n);
+        Ok(ms
+            .iter()
+            .zip(powers)
+            .map(|(m, r_to_n)| Ciphertext(self.mul_mod_nn(&self.g_pow(m), &r_to_n)))
             .collect())
     }
 
@@ -483,19 +333,10 @@ impl PublicKey {
         Ok(Ciphertext(self.mul_mod_nn(&g_to_m, &r_to_n)))
     }
 
-    /// `g^m mod n²`, using the `g = n+1` shortcut when applicable, then
-    /// the fixed-base comb when kernels are attached, then a plain windowed
-    /// ladder. All three branches return the same canonical residue.
+    /// `g^m mod n²` by the `g = n+1` shortcut: `(1+n)^m = 1 + m·n (mod n²)`.
     pub(crate) fn g_pow(&self, m: &BigUint) -> BigUint {
-        if self.g_is_n_plus_one {
-            // (1+n)^m = 1 + m·n (mod n²)
-            let mn = &(m * &self.n) % &self.n_squared;
-            (&mn + 1u64).div_rem(&self.n_squared).1
-        } else if let Some(kernels) = &self.kernels {
-            kernels.g_table.pow(m)
-        } else {
-            self.mont_nn.pow_mod(&self.g, m)
-        }
+        let mn = &(m * &self.n) % &self.n_squared;
+        (&mn + 1u64).div_rem(&self.n_squared).1
     }
 
     pub(crate) fn mul_mod_nn(&self, a: &BigUint, b: &BigUint) -> BigUint {
@@ -747,75 +588,6 @@ mod tests {
         assert_ne!(kp1.public.n(), kp2.public.n());
     }
 
-    /// A general-`g` key encrypting under `g = (n+1)^2 · r₀^n` (a valid
-    /// generator: its order is a multiple of `n`) must decrypt under the
-    /// standard private key to `2m` — because `g^m = (n+1)^{2m} · (r₀^m)^n`
-    /// is a standard-generator encryption of `2m mod n`.
-    #[test]
-    fn with_generator_encrypts_decryptably() {
-        let kp = shared_keypair();
-        let mut r = rng(41);
-        let n = kp.public.n().clone();
-        let r0 = kp.public.sample_nonce(&mut r);
-        let g = {
-            let np1_sq = kp.public.mul_mod_nn(kp.public.g(), kp.public.g());
-            let r0_n = kp.public.pow_mod_nn(&r0, &n);
-            kp.public.mul_mod_nn(&np1_sq, &r0_n)
-        };
-        let custom = PublicKey::with_generator(n.clone(), g).unwrap();
-        assert!(!custom.g_is_n_plus_one);
-
-        let m = BigUint::from_u64(12345);
-        let c = custom.encrypt(&m, &mut r).unwrap();
-        let two_m = &(&m * &BigUint::from_u64(2)) % &n;
-        assert_eq!(kp.private.decrypt_crt(&c).unwrap(), two_m);
-    }
-
-    #[test]
-    fn with_generator_rejects_bad_g() {
-        let kp = shared_keypair();
-        let n = kp.public.n().clone();
-        assert_eq!(
-            PublicKey::with_generator(n.clone(), BigUint::zero()).unwrap_err(),
-            PaillierError::InvalidGenerator
-        );
-        assert_eq!(
-            PublicKey::with_generator(n.clone(), kp.public.n_squared().clone()).unwrap_err(),
-            PaillierError::InvalidGenerator
-        );
-        // g sharing a factor with n: use n itself (gcd(n mod n, n) = n).
-        assert_eq!(
-            PublicKey::with_generator(n.clone(), n).unwrap_err(),
-            PaillierError::InvalidGenerator
-        );
-    }
-
-    #[test]
-    fn exp_kernels_are_byte_invisible() {
-        let kp = shared_keypair();
-        let mut r = rng(42);
-        let n = kp.public.n().clone();
-        let r0 = kp.public.sample_nonce(&mut r);
-        let g = {
-            let np1_sq = kp.public.mul_mod_nn(kp.public.g(), kp.public.g());
-            let r0_n = kp.public.pow_mod_nn(&r0, &n);
-            kp.public.mul_mod_nn(&np1_sq, &r0_n)
-        };
-        let plain = PublicKey::with_generator(n.clone(), g).unwrap();
-        let fast = plain.clone().with_exp_kernels();
-        assert!(fast.has_exp_kernels());
-
-        for seed in 0..8u64 {
-            let m = random::gen_biguint_below(&mut rng(100 + seed), &n);
-            let nonce = plain.sample_nonce(&mut rng(200 + seed));
-            assert_eq!(
-                plain.encrypt_with_nonce(&m, &nonce).unwrap(),
-                fast.encrypt_with_nonce(&m, &nonce).unwrap(),
-                "kernels must not change ciphertext bytes"
-            );
-        }
-    }
-
     #[test]
     fn encrypt_many_matches_sequential_encrypt() {
         let kp = shared_keypair();
@@ -836,13 +608,6 @@ mod tests {
             random::gen_biguint_bits(&mut seq_rng, 64),
             random::gen_biguint_bits(&mut batch_rng, 64)
         );
-    }
-
-    #[test]
-    fn exp_kernels_noop_for_standard_generator() {
-        let kp = shared_keypair();
-        let fast = kp.public.clone().with_exp_kernels();
-        assert!(!fast.has_exp_kernels(), "(1+n)^m shortcut already optimal");
     }
 
     #[test]

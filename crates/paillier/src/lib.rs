@@ -24,19 +24,16 @@
 //!   many small protocol values ride one ciphertext, cutting the
 //!   ciphertext-heavy response legs (DGK verdict vectors, masked-distance
 //!   replies) and the keyholder's decryption count by the packing factor,
-//! * randomizer precomputation ([`RandomizerPool`],
-//!   [`PublicKey::precompute_randomizer`],
-//!   [`PublicKey::encrypt_with_randomizer`]): the message-independent
-//!   `r^n mod n²` factor is computed ahead of time (optionally by
-//!   background threads), so a hot-path encryption collapses to two
-//!   modular multiplications. The `ppds-engine` crate shares one pool
-//!   across all concurrent sessions encrypting under a key,
-//! * exponentiation kernels ([`PublicKey::with_exp_kernels`],
-//!   [`ScaledBases`], [`PublicKey::validate_many`]): windowed fixed-base
-//!   combs for general-generator keys, multi-exponentiation for packed-slot
-//!   aggregation, and Montgomery batch inversion for batch ciphertext
-//!   validation — all value-equal to the ladders they replace, so every
-//!   ciphertext byte and protocol transcript is unchanged.
+//! * exponentiation kernels ([`ScaledBases`], [`PublicKey::encrypt_many`],
+//!   [`PublicKey::validate_many`]): fixed-base combs and
+//!   multi-exponentiation for packed-slot aggregation, one shared-exponent
+//!   pass for a batch's `r^n` nonces, and Montgomery batch inversion for
+//!   batch ciphertext validation — all value-equal to the ladders they
+//!   replace, so every ciphertext byte and protocol transcript is
+//!   unchanged.
+//!
+//! Every key uses the standard generator `g = n + 1`, so `g^m mod n²` is
+//! the single multiplication `1 + m·n`.
 //!
 //! ## Deviation from the paper's Algorithm 2 narration
 //!
@@ -53,13 +50,11 @@ mod error;
 mod homomorphic;
 mod keys;
 mod packing;
-mod precompute;
 
 pub use error::PaillierError;
 pub use homomorphic::ScaledBases;
-pub use keys::{Ciphertext, ExpKernels, Keypair, PrivateKey, PublicKey, MIN_KEY_BITS};
+pub use keys::{Ciphertext, Keypair, PrivateKey, PublicKey, MIN_KEY_BITS};
 pub use packing::{SlotLayout, PACKING_DISCIPLINE};
-pub use precompute::{FillerHandle, PoolStats, Randomizer, RandomizerPool};
 
 #[cfg(test)]
 pub(crate) mod test_helpers {

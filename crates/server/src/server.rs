@@ -38,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -455,20 +456,9 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
     let task_shared = Arc::clone(shared);
     let role = host.role;
     let data = host.data.clone();
-    let submitted = engine.try_submit_task(
-        "server-session",
-        Box::new(move || run_hosted(&task_shared, chan, sid, scfg, role, data)),
-    );
-    if submitted.is_err() {
-        // Unreachable while the server owns the engine (it runs unbounded),
-        // but never strand an accepted client silently.
-        shared.registry.set_state(sid, SessionState::Dropped);
-        shared.metrics.gauge("server_active_sessions").dec();
-        shared
-            .metrics
-            .counter("server_sessions_dropped_drain")
-            .inc();
-    }
+    engine.submit_task(Box::new(move || {
+        run_hosted(&task_shared, chan, sid, scfg, role, data)
+    }));
 }
 
 /// The admitted session's worker-side body.
@@ -503,7 +493,10 @@ fn run_hosted(
     if shared.cfg.record_traces {
         participant = participant.trace(SpanRecorder::new());
     }
-    let result = participant.run(&mut chan);
+    // A panicking session fails like an erroring one: its registry row,
+    // gauge and counters settle instead of staying `Running` forever.
+    let result = catch_unwind(AssertUnwindSafe(|| participant.run(&mut chan)))
+        .unwrap_or(Err(CoreError::PartyPanicked("hosted session")));
     shared.metrics.gauge("server_active_sessions").dec();
     match result {
         Ok(outcome) => {
@@ -525,7 +518,7 @@ fn run_hosted(
 }
 
 /// Returns the server's long-lived keypair for `key_bits`, generating it
-/// (and attaching the fixed-base exponentiation combs) on first use. Every
+/// on first use. Every
 /// later session at the same security parameter skips keygen entirely —
 /// the dominant per-connection setup cost for realistic key sizes.
 ///
@@ -549,11 +542,7 @@ fn hot_keypair(shared: &Shared, key_bits: usize) -> Keypair {
         shared.cfg.base_seed ^ 0x4B45_5947_454E_2121, // "KEYGEN!!"
         key_bits as u64,
     ));
-    let mut keypair = Keypair::generate(key_bits, &mut rng);
-    // No-op for standard-generator keys (the `(1+n)^m` shortcut wins), but
-    // general-generator deployments get their comb tables warmed once here
-    // instead of per session.
-    keypair.public = keypair.public.clone().with_exp_kernels();
+    let keypair = Keypair::generate(key_bits, &mut rng);
     cache.insert(key_bits, keypair.clone());
     keypair
 }

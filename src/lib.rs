@@ -16,18 +16,17 @@
 //!   parameter disagreement with a typed
 //!   [`ppdbscan::CoreError::HandshakeMismatch`] naming the field,
 //! * [`ppds_engine`] — the parallel protocol-execution engine: worker-pool
-//!   job scheduler, shared Paillier randomizer precomputation, rollup
-//!   reports,
+//!   job scheduler with rollup reports,
 //! * [`ppds_server`] — the long-running protocol service: Hello-preamble
 //!   session admission, session registry with per-session seed isolation,
 //!   bounded-queue load shedding, graceful drain, and the operator HTTP
 //!   endpoint,
-//! * [`ppds_dbscan`] — plaintext DBSCAN baseline (sequential and
-//!   grid-sharded parallel), workload generators, clustering metrics,
+//! * [`ppds_dbscan`] — plaintext DBSCAN baseline, region-query indexes,
+//!   workload generators, clustering metrics,
 //! * [`ppds_smc`] — Multiplication Protocol, Yao's millionaires, secure
 //!   comparison and k-th order statistic,
-//! * [`ppds_paillier`] — the Paillier cryptosystem with randomizer
-//!   precomputation pools,
+//! * [`ppds_paillier`] — the Paillier cryptosystem with slot packing and
+//!   exponentiation kernels,
 //! * [`ppds_observe`] — the protocol flight recorder: per-phase span
 //!   tracing with traffic attribution, Chrome trace export, and the
 //!   operator metrics registry,

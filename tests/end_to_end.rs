@@ -5,12 +5,10 @@ mod common;
 
 use common::{rng, run_arbitrary_pair, run_enhanced_pair, run_horizontal_pair, run_vertical_pair};
 use ppdbscan::config::ProtocolConfig;
-use ppdbscan::session::{run_participants, Participant, PartyData};
 use ppdbscan::{ArbitraryPartition, VerticalPartition};
 use ppds_dbscan::datagen::{cluster_in_ring, split_alternating, standard_blobs, two_moons};
 use ppds_dbscan::{dbscan, dbscan_with_external_density, eval, DbscanParams, Point, Quantizer};
 use ppds_smc::compare::Comparator;
-use ppds_smc::Party;
 
 fn workloads() -> Vec<(&'static str, Vec<Point>, DbscanParams)> {
     let quantizer = Quantizer::new(1.0, 80);
@@ -309,47 +307,4 @@ fn dgk_backend_vertical_matches_plaintext() {
     let (a, b) = run_vertical_pair(&cfg, &partition, rng(5), rng(6)).unwrap();
     assert_eq!(a.clustering, dbscan(&records, params));
     assert_eq!(b.clustering, a.clustering);
-}
-
-/// Randomizer-pool opt-in: a pooled session consumes precomputed `r^n`
-/// factors, which changes ciphertext bytes but never outcomes — labels,
-/// leakage, and ledgers match the unpooled run exactly.
-#[test]
-fn pooled_sessions_match_unpooled_outputs() {
-    let quantizer = Quantizer::new(1.0, 60);
-    let (records, _) = standard_blobs(&mut rng(311), 4, 3, 2, quantizer);
-    let (alice_pts, bob_pts) = split_alternating(&records);
-    let cfg = ProtocolConfig::new(
-        DbscanParams {
-            eps_sq: 81,
-            min_pts: 3,
-        },
-        60,
-    );
-    let run = |pooled: bool| {
-        let participant = |role, pts: &[Point], seed| {
-            let p = Participant::new(cfg)
-                .role(role)
-                .data(PartyData::Horizontal(pts.to_vec()))
-                .seed(seed);
-            if pooled {
-                p.pooled_randomizers(64, 2)
-            } else {
-                p
-            }
-        };
-        run_participants(
-            participant(Party::Alice, &alice_pts, 40),
-            participant(Party::Bob, &bob_pts, 41),
-        )
-        .unwrap()
-    };
-    let (plain_a, plain_b) = run(false);
-    let (pooled_a, pooled_b) = run(true);
-    assert_eq!(plain_a.output.clustering, pooled_a.output.clustering);
-    assert_eq!(plain_b.output.clustering, pooled_b.output.clustering);
-    assert_eq!(plain_a.output.leakage, pooled_a.output.leakage);
-    assert_eq!(plain_b.output.leakage, pooled_b.output.leakage);
-    assert_eq!(plain_a.output.yao, pooled_a.output.yao);
-    assert_eq!(plain_b.output.yao, pooled_b.output.yao);
 }
